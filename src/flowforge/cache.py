@@ -22,7 +22,7 @@ import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .canon import CanonError, canon_bytes, canon_decode, file_digest, tree_manifest
+from .canon import canon_bytes, canon_decode, file_digest, tree_manifest
 
 log = logging.getLogger(__name__)
 
@@ -172,7 +172,9 @@ class CacheStore:
             data = fh.read()
         try:
             manifest = canon_decode(data)
-        except CanonError as exc:
+        except (ValueError, RecursionError) as exc:
+            # Any file may sit here: CanonError, UnicodeDecodeError and
+            # deep nesting all mean "not a manifest".
             raise CacheError("blob %s is not a tree manifest" % digest) from exc
         if not isinstance(manifest, dict) or manifest.get("kind") != "tree":
             raise CacheError("blob %s is not a tree manifest" % digest)

@@ -791,27 +791,26 @@ def find_cycle(fw: FlatWorkflow):
 
     WHITE, GREY, BLACK = 0, 1, 2
     color = {pid: WHITE for pid in adjacency}
-    stack: list[str] = []
-
-    def visit(node):
-        color[node] = GREY
-        stack.append(node)
-        for nxt in adjacency[node]:
-            if color[nxt] == GREY:
-                return stack[stack.index(nxt):] + [nxt]
-            if color[nxt] == WHITE:
-                cycle = visit(nxt)
-                if cycle:
-                    return cycle
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for pid in sorted(adjacency):
-        if color[pid] == WHITE:
-            cycle = visit(pid)
-            if cycle:
-                return cycle
+    for root in sorted(adjacency):
+        if color[root] != WHITE:
+            continue
+        # Depth-first with an explicit stack, so chain depth is not
+        # bounded by the interpreter's recursion limit.
+        color[root] = GREY
+        path = [root]
+        pending = [iter(adjacency[root])]
+        while pending:
+            for nxt in pending[-1]:
+                if color[nxt] == GREY:
+                    return path[path.index(nxt):] + [nxt]
+                if color[nxt] == WHITE:
+                    color[nxt] = GREY
+                    path.append(nxt)
+                    pending.append(iter(adjacency[nxt]))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
     return None
 
 

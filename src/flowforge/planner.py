@@ -9,6 +9,7 @@ observation semantics change.
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass, field
 
@@ -113,26 +114,33 @@ class TaskGraph:
     edges: tuple[tuple[str, str], ...]
     sinks: dict[str, tuple[str, str]]
 
+    def children(self) -> dict[str, list[str]]:
+        """Direct consumers of every task, in edge order."""
+        children: dict[str, list[str]] = {tid: [] for tid in self.tasks}
+        for producer, consumer in self.edges:
+            children[producer].append(consumer)
+        return children
+
     def topo_order(self) -> list[str]:
-        """Dependency-respecting order, lexicographic among ready peers."""
-        remaining = {tid: set(t.deps) for tid, t in self.tasks.items()}
+        """Dependency-respecting order, smallest ready id first."""
+        children = self.children()
+        waiting = {tid: len(t.deps) for tid, t in self.tasks.items()}
+        ready = sorted(tid for tid, n in waiting.items() if not n)
         order = []
-        while remaining:
-            ready = sorted(t for t, deps in remaining.items() if not deps)
-            if not ready:
-                raise PlanError("task graph has a cycle")
-            for tid in ready:
-                order.append(tid)
-                del remaining[tid]
-            for deps in remaining.values():
-                deps.difference_update(ready)
+        while ready:
+            tid = heapq.heappop(ready)
+            order.append(tid)
+            for child in children[tid]:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    heapq.heappush(ready, child)
+        if len(order) != len(self.tasks):
+            raise PlanError("task graph has a cycle")
         return order
 
     def descendants(self, roots) -> set[str]:
         """All tasks reachable downstream from the given task ids."""
-        children: dict[str, set[str]] = {tid: set() for tid in self.tasks}
-        for producer, consumer in self.edges:
-            children[producer].add(consumer)
+        children = self.children()
         seen: set[str] = set()
         frontier = list(roots)
         while frontier:
@@ -333,18 +341,6 @@ def fingerprint_preimage(task: TaskInstance) -> dict:
 
 def task_fingerprint(task: TaskInstance) -> str:
     return canon_digest(fingerprint_preimage(task))
-
-
-def ready_set(graph: TaskGraph, completed) -> list[str]:
-    """Tasks whose deps are all completed and which are not completed,
-    lexicographically ordered."""
-    completed = set(completed)
-    stray = completed - set(graph.tasks)
-    if stray:
-        raise PlanError("unknown task ids in completed set: %s"
-                        % ", ".join(sorted(stray)))
-    return sorted(tid for tid, task in graph.tasks.items()
-                  if tid not in completed and task.deps <= completed)
 
 
 def workflow_digest(fw: FlatWorkflow) -> str:

@@ -67,7 +67,10 @@ def _now() -> str:
 
 
 class Journal:
-    """Single-writer event log with strict sequence numbering."""
+    """Single-writer event log with strict sequence numbering.
+
+    Each append is flushed to the file before it returns; `sync` and
+    `close` fsync it."""
 
     def __init__(self, path: str):
         self.path = os.fspath(path)
@@ -97,13 +100,21 @@ class Journal:
             self._fh = open(self.path, "a", encoding="utf-8")
         self._fh.write(event.to_line() + "\n")
         self._fh.flush()
-        os.fsync(self._fh.fileno())
         self._last_seq = event.seq
+
+    def sync(self):
+        """Make every appended event durable with one fsync (group
+        commit). Appends are already visible to readers once flushed."""
+        if self._fh is not None:
+            os.fsync(self._fh.fileno())
 
     def close(self):
         if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+            try:
+                self.sync()
+            finally:
+                self._fh.close()
+                self._fh = None
 
 
 def read_events(path: str):

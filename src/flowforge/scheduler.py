@@ -2,9 +2,17 @@
 failure propagation, and the journal/cache/provenance bookkeeping around
 task execution.
 
-The scheduler thread is the single owner of run state and the journal;
-executor calls happen in a worker pool whose size is the jobs bound, and
-workers communicate outcomes back only through their futures.
+The scheduler thread owns the run's results and its journal. It keeps
+an in-degree count per task and decides each task exactly once, when
+its last dependency finishes: skipped, linked and blocked tasks finish
+on the spot, and tasks to execute queue until one of the `jobs` worker
+threads is free. Ready tasks leave both queues smallest id first, which
+keeps the journal deterministic. A worker stages, executes and then
+publishes its own task: outputs into the cache and workspace, the
+stamp, the cache entry. That is safe without locks because output paths
+are unique per task, the cache installs blobs and entries by atomic
+rename, and stamps are per task. A worker hands back only a
+TaskResult; the journal is fsynced once before each blocking wait.
 
 Policy semantics (per task):
   recompute  always Execute.
@@ -19,6 +27,7 @@ Policy semantics (per task):
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import os
@@ -70,11 +79,15 @@ class Policy(str, Enum):
 class TaskAction:
     kind: str  # "execute" | "link" | "skip"
     fingerprint: str | None = None
-    cached_from: str | None = None
+    entry: CacheEntry | None = field(default=None, compare=False)  # link's hit
 
     @property
     def is_execute(self) -> bool:
         return self.kind == "execute"
+
+    @property
+    def cached_from(self) -> str | None:
+        return self.entry.run_id if self.entry else None
 
 
 EXECUTE = TaskAction("execute")
@@ -166,7 +179,7 @@ def decide_action(task: TaskInstance, policy: Policy, cache: CacheStore,
     if policy == Policy.LINK:
         entry = cache.get_entry(fp)
         if entry is not None:
-            return TaskAction("link", fp, entry.run_id)
+            return TaskAction("link", fp, entry)
         return TaskAction("execute", fp)
     # update
     stamp = read_stamp(workspace, task.id)
@@ -229,54 +242,99 @@ class Runner:
             "hostname": socket.gethostname(),
         })
 
-        results: dict[str, TaskResult] = {}
-        dispatched: set[str] = set()
+        result = RunResult(run_id, {}, 0.0)
+        results = result.states
+        children = graph.children()
+        waiting = {tid: len(task.deps) for tid, task in graph.tasks.items()}
+        ready = sorted(tid for tid, n in waiting.items() if not n)  # sorted is a heap
+        runnable: list[tuple[str, TaskInstance, str]] = []  # heap by id
         executed: set[str] = set()  # tasks whose action was Execute
         futures: dict = {}
-        stop_dispatch = False
+        stop = False
+
+        def finish(tid: str, task_result: TaskResult, payload: dict):
+            results[tid] = task_result
+            journal.append("task-finished", tid, payload)
+            for child in children[tid]:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    heapq.heappush(ready, child)
 
         pool = ThreadPoolExecutor(max_workers=self.jobs)
         try:
             while True:
-                progressed = self._dispatch_pass(
-                    graph, policy, journal, results, dispatched, executed,
-                    futures, pool, stop_dispatch)
+                while ready and not stop:
+                    tid = heapq.heappop(ready)
+                    task = graph.tasks[tid]
+                    if any(results[dep].state in BAD_STATES for dep in task.deps):
+                        finish(tid, TaskResult("blocked"), {"state": "blocked"})
+                        continue
+                    resolved = self._resolve_bindings(graph, task, results)
+                    fp = task_fingerprint(resolved)
+                    forced = policy == Policy.UPDATE and bool(task.deps & executed)
+                    action = TaskAction("execute", fp) if forced else decide_action(
+                        resolved, policy, self.cache, self.workspace, fp)
+                    if action.kind == "skip":
+                        stamp = read_stamp(self.workspace, tid) or {}
+                        finish(tid, TaskResult(
+                            "skipped-up-to-date", fingerprint=fp,
+                            file_digests=dict(stamp.get("files", {})),
+                            value_outputs=dict(stamp.get("values", {}))),
+                            {"state": "skipped-up-to-date", "fingerprint": fp})
+                    elif action.kind == "link":
+                        entry = action.entry
+                        self._link_outputs(resolved, entry)
+                        linked = TaskResult(
+                            "cached", fingerprint=fp,
+                            file_digests=dict(entry.file_outputs),
+                            value_outputs=dict(entry.value_outputs),
+                            cached_from=entry.run_id)
+                        finish(tid, linked, self._finish_payload(resolved, linked))
+                    else:
+                        executed.add(tid)
+                        heapq.heappush(runnable, (tid, resolved, fp))
 
-                if futures:
-                    done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        task, fp = futures.pop(fut)
-                        outcome = fut.result()
-                        self._absorb_outcome(
-                            graph, journal, results, task, fp, outcome, run_id)
-                        if results[task.id].state == "failed" and not self.keep_going:
-                            stop_dispatch = True
-                    continue
+                while runnable and len(futures) < self.jobs and not stop:
+                    tid, resolved, fp = heapq.heappop(runnable)
+                    journal.append("task-started", tid, {
+                        "fingerprint": fp,
+                        "executor": getattr(self.executor, "name", "local"),
+                    })
+                    futures[pool.submit(self._execute_task, resolved, fp,
+                                        run_dir)] = resolved
 
-                if len(results) == len(graph.tasks):
+                if not futures:
                     break
-                if stop_dispatch:
-                    self._wind_down(graph, journal, results)
-                    break
-                if not progressed:
-                    raise SchedulerError(
-                        "scheduler stalled; remaining tasks %s"
-                        % sorted(set(graph.tasks) - set(results)))
+                journal.sync()
+                done, _ = wait(futures, return_when=FIRST_COMPLETED)
+                for fut in sorted(done, key=lambda f: futures[f].id):
+                    task = futures.pop(fut)
+                    task_result = fut.result()
+                    finish(task.id, task_result,
+                           self._finish_payload(task, task_result))
+                    if task_result.state == "failed" and not self.keep_going:
+                        stop = True
+
+            if stop:
+                self._wind_down(graph, journal, results)
+            elif len(results) != len(graph.tasks):
+                raise SchedulerError(
+                    "scheduler stalled; remaining tasks %s"
+                    % sorted(set(graph.tasks) - set(results)))
         finally:
             pool.shutdown(wait=True)
-            run_state = "succeeded" if all(
-                r.state in OK_STATES for r in results.values()) \
-                and len(results) == len(graph.tasks) else "failed"
+            complete = result.ok and len(results) == len(graph.tasks)
             try:
                 journal.append("run-finished", payload={
-                    "state": run_state,
-                    "counts": _count_states(results),
+                    "state": "succeeded" if complete else "failed",
+                    "counts": result.counts,
                 })
             finally:
                 journal.close()
 
         self._write_provenance(run_dir)
-        return RunResult(run_id, results, time.monotonic() - started)
+        result.wall_seconds = time.monotonic() - started
+        return result
 
     def plan_preview(self, graph: TaskGraph, policy: Policy = Policy.UPDATE) -> dict[str, TaskAction]:
         """The actions run() would take if no task outcome changed.
@@ -309,110 +367,13 @@ class Runner:
             if action.kind == "skip":
                 predicted[tid] = stamp_outputs
             elif action.kind == "link":
-                entry = self.cache.get_entry(action.fingerprint)
-                predicted[tid] = (entry.file_outputs, entry.value_outputs) \
-                    if entry else None
+                predicted[tid] = (action.entry.file_outputs,
+                                  action.entry.value_outputs)
             else:
                 predicted[tid] = stamp_outputs
         return actions
 
     # -- dispatch helpers ----------------------------------------------------
-
-    def _dispatch_pass(self, graph, policy, journal, results, dispatched,
-                       executed, futures, pool, stop_dispatch) -> bool:
-        if stop_dispatch:
-            return False
-        progressed = False
-        for tid in sorted(graph.tasks):
-            if tid in results or tid in dispatched:
-                continue
-            task = graph.tasks[tid]
-            if not all(dep in results for dep in task.deps):
-                continue
-            if any(results[dep].state in BAD_STATES for dep in task.deps):
-                results[tid] = TaskResult("blocked")
-                journal.append("task-finished", tid, {"state": "blocked"})
-                progressed = True
-                continue
-
-            resolved = self._resolve_bindings(graph, task, results)
-            fp = task_fingerprint(resolved)
-            forced = policy == Policy.UPDATE and bool(task.deps & executed)
-            action = TaskAction("execute", fp) if forced else decide_action(
-                resolved, policy, self.cache, self.workspace, fp)
-
-            if action.kind == "skip":
-                stamp = read_stamp(self.workspace, tid) or {}
-                results[tid] = TaskResult(
-                    "skipped-up-to-date", fingerprint=fp,
-                    file_digests=dict(stamp.get("files", {})),
-                    value_outputs=dict(stamp.get("values", {})))
-                journal.append("task-finished", tid,
-                               {"state": "skipped-up-to-date", "fingerprint": fp})
-                progressed = True
-            elif action.kind == "link":
-                entry = self.cache.get_entry(fp)
-                if entry is None:
-                    # Raced away or corrupt after the decision; execute.
-                    action = TaskAction("execute", fp)
-                else:
-                    self._link_outputs(resolved, entry)
-                    results[tid] = TaskResult(
-                        "cached", fingerprint=fp,
-                        file_digests=dict(entry.file_outputs),
-                        value_outputs=dict(entry.value_outputs),
-                        cached_from=entry.run_id)
-                    journal.append("task-finished", tid, self._finish_payload(
-                        resolved, "cached", fp,
-                        files=entry.file_outputs, values=entry.value_outputs,
-                        cached_from=entry.run_id))
-                    progressed = True
-
-            if action.is_execute:
-                if len(futures) >= self.jobs:
-                    continue
-                journal.append("task-started", tid, {
-                    "fingerprint": fp,
-                    "executor": getattr(self.executor, "name", "local"),
-                })
-                dispatched.add(tid)
-                executed.add(tid)
-                run_dir = os.path.dirname(journal.path)
-                futures[pool.submit(self._execute_task, resolved, run_dir)] = (
-                    resolved, fp)
-                progressed = True
-        return progressed
-
-    def _absorb_outcome(self, graph, journal, results, task, fp, outcome, run_id):
-        if outcome.success:
-            workdir = os.path.join(self.workspace, "runs", run_id,
-                                   "tasks", task.id)
-            try:
-                files = self._publish_outputs(task, outcome, workdir)
-            except CacheError as exc:
-                results[task.id] = TaskResult(
-                    "failed", exit_code=outcome.exit_code, fingerprint=fp,
-                    error="publishing outputs failed: %s" % exc)
-                journal.append("task-finished", task.id, self._finish_payload(
-                    task, "failed", fp, exit_code=outcome.exit_code,
-                    error=str(exc)))
-                return
-            write_stamp(self.workspace, task.id, fp, files, outcome.value_outputs)
-            self.cache.put_entry(CacheEntry(
-                fp, run_id, files, dict(outcome.value_outputs)))
-            results[task.id] = TaskResult(
-                "succeeded", exit_code=0, fingerprint=fp,
-                file_digests=files, value_outputs=dict(outcome.value_outputs))
-            journal.append("task-finished", task.id, self._finish_payload(
-                task, "succeeded", fp, exit_code=0,
-                files=files, values=outcome.value_outputs))
-        else:
-            results[task.id] = TaskResult(
-                "failed", exit_code=outcome.exit_code, fingerprint=fp,
-                error=outcome.error)
-            journal.append("task-finished", task.id, self._finish_payload(
-                task, "failed", fp, exit_code=outcome.exit_code,
-                error=outcome.error))
 
     def _wind_down(self, graph, journal, results):
         failed = {t for t, r in results.items() if r.state == "failed"}
@@ -523,12 +484,12 @@ class Runner:
         raise CacheError(
             "no source for input %s (digest %s)" % (port, binding.digest[:12]))
 
-    def _execute_task(self, task: TaskInstance, run_dir: str):
+    def _execute_task(self, task: TaskInstance, fp: str,
+                      run_dir: str) -> TaskResult:
         """Worker-thread body: hermetic workdir, staged inputs, executor
-        call. Returns an Outcome; infrastructure problems become failed
-        outcomes rather than exceptions so the run can keep accounting."""
-        from .executors import Outcome
-
+        call, then this task's outputs, stamp and cache entry.
+        Infrastructure problems become failed results rather than
+        exceptions so the run can keep accounting."""
         workdir = os.path.join(run_dir, "tasks", task.id)
         try:
             if os.path.exists(workdir):
@@ -556,10 +517,26 @@ class Runner:
                 outputs=outputs,
                 wrapper=task.wrapper,
                 resources=task.resources)
-            return self.executor.execute(spec)
+            outcome = self.executor.execute(spec)
         except (CacheError, OSError) as exc:
             log.warning("task %s could not be staged: %s", task.id, exc)
-            return Outcome(-1, error="staging failure: %s" % exc)
+            return TaskResult("failed", exit_code=-1, fingerprint=fp,
+                              error="staging failure: %s" % exc)
+        if not outcome.success:
+            return TaskResult("failed", exit_code=outcome.exit_code,
+                              fingerprint=fp, error=outcome.error)
+        values = dict(outcome.value_outputs)
+        try:
+            files = self._publish_outputs(task, outcome, workdir)
+            write_stamp(self.workspace, task.id, fp, files, values)
+            self.cache.put_entry(CacheEntry(
+                fp, os.path.basename(run_dir), files, values))
+        except (CacheError, OSError) as exc:
+            return TaskResult("failed", exit_code=outcome.exit_code,
+                              fingerprint=fp,
+                              error="publishing outputs failed: %s" % exc)
+        return TaskResult("succeeded", exit_code=0, fingerprint=fp,
+                          file_digests=files, value_outputs=values)
 
     def _publish_outputs(self, task: TaskInstance, outcome,
                          workdir: str) -> dict[str, str]:
@@ -600,9 +577,7 @@ class Runner:
 
     # -- journal payloads ----------------------------------------------------
 
-    def _finish_payload(self, task: TaskInstance, state: str, fp: str,
-                        exit_code: int | None = None, files=None, values=None,
-                        cached_from=None, error=None) -> dict:
+    def _finish_payload(self, task: TaskInstance, result: TaskResult) -> dict:
         literal_inputs = {}
         input_files = {}
         sources = {}
@@ -615,13 +590,13 @@ class Runner:
             if src and not src.startswith("params."):
                 sources[port] = src  # full "<producer>.<port>" ref
         payload = {
-            "state": state,
-            "fingerprint": fp,
-            "exit_code": exit_code,
-            "files": dict(files or {}),
-            "values": dict(values or {}),
-            "cached_from": cached_from,
-            "error": error,
+            "state": result.state,
+            "fingerprint": result.fingerprint,
+            "exit_code": result.exit_code,
+            "files": dict(result.file_digests),
+            "values": dict(result.value_outputs),
+            "cached_from": result.cached_from,
+            "error": result.error,
             "env": task.env_fingerprint,
             "env_spec": env_to_data(task.env_spec),
             "executor": getattr(self.executor, "name", "local"),
@@ -639,13 +614,6 @@ class Runner:
         doc = provenance.record(events)
         provenance.write_doc(run_dir, doc)
         provenance.update_index(os.path.dirname(run_dir), doc)
-
-
-def _count_states(results: dict[str, TaskResult]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for result in results.values():
-        counts[result.state] = counts.get(result.state, 0) + 1
-    return counts
 
 
 def _engine_version() -> str:

@@ -148,6 +148,18 @@ def test_gc_keeps_tree_members(store, tmp_path):
     assert store.has_blob(member)
 
 
+@pytest.mark.parametrize("data", [
+    b"i\xf5 binary output;", b"s99999:" + bytes(range(256)), b"l" * 5000],
+    ids=["number-tag", "string-tag", "deep-list"])
+def test_gc_keeps_binary_file_outputs(store, tmp_path, data):
+    digest = put_bytes(store, data, tmp_path)
+    store.put_entry(CacheEntry("5" * 64, "r1", {"o": digest}, {}))
+    report = store.gc(keep_runs={"r1"})
+    assert report.kept_entries == 1
+    assert report.removed_entries == [] and report.removed_blobs == []
+    assert store.has_blob(digest)
+
+
 def test_gc_removes_corrupt_entries(store, tmp_path):
     store.put_entry(CacheEntry("4" * 64, "r1", {}, {}))
     with open(store.entry_path("4" * 64), "w", encoding="utf-8") as fh:

@@ -25,6 +25,27 @@ def test_validate_negative_exits_2(name):
     assert proc.stderr.strip()
 
 
+def test_deep_chain_validates_and_plans(tmp_path):
+    n = 5000
+    procs = [{"id": "c%04d" % i,
+              "command": ["sh", "-c", "cat {inputs.x} > {outputs.o}"],
+              "inputs": {"x": {"type": "file", "from": "c%04d.o" % (i - 1)}},
+              "outputs": {"o": {"type": "file", "path": "c%04d.txt" % i}}}
+             for i in range(n)]
+    procs[0]["command"] = ["sh", "-c", "echo > {outputs.o}"]
+    del procs[0]["inputs"]
+    wf = tmp_path / "deep.wf"
+    wf.write_text(json.dumps({"name": "deep", "processes": procs,
+                              "outputs": {"o": "c%04d.o" % (n - 1)}}))
+    proc = cli("validate", wf)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout.startswith("ok: deep (5000 processes")
+    proc = cli("run", wf, "--dry-run", "--workdir", tmp_path / "ws")
+    assert proc.returncode == 0, proc.stderr[-500:]
+    plan = [line.split() for line in proc.stdout.splitlines()]
+    assert plan == [["execute", "c%04d" % i] for i in range(n)]
+
+
 def test_missing_file_exits_2(tmp_path):
     proc = cli("validate", str(tmp_path / "absent.wf"))
     assert proc.returncode == 2

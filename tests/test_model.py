@@ -303,6 +303,79 @@ def test_validate_usecase_clean():
 def test_validate_cycle():
     report = validate(read_negative("cycle.wf"), NEGATIVE_DIR)
     assert "cycle" in codes(report)
+    assert [f.message for f in report.findings if f.code == "cycle"] == [
+        "dependency cycle: ping -> pong -> ping"]
+
+
+def recursive_find_cycle(adjacency):
+    """Reference: the recursive depth-first search find_cycle unrolls."""
+    color = {pid: 0 for pid in adjacency}
+    stack = []
+
+    def visit(node):
+        color[node] = 1
+        stack.append(node)
+        for nxt in adjacency[node]:
+            if color[nxt] == 1:
+                return stack[stack.index(nxt):] + [nxt]
+            if color[nxt] == 0:
+                cycle = visit(nxt)
+                if cycle:
+                    return cycle
+        stack.pop()
+        color[node] = 2
+        return None
+
+    for pid in sorted(adjacency):
+        if color[pid] == 0:
+            cycle = visit(pid)
+            if cycle:
+                return cycle
+    return None
+
+
+def wired(edges, nodes):
+    """A flat workflow whose dependency edges are exactly `edges`."""
+    procs = []
+    for node in nodes:
+        sources = sorted(p for p, c in edges if c == node)
+        procs.append({
+            "id": node,
+            "command": ["true"],
+            "inputs": {"i%d" % k: {"type": "file", "from": "%s.o" % src}
+                       for k, src in enumerate(sources)},
+            "outputs": {"o": {"type": "file", "path": "%s.txt" % node}}})
+    doc = {"name": "wired", "processes": procs,
+           "outputs": {"o": "%s.o" % nodes[0]}}
+    return flatten(parse_workflow(json.dumps(doc)), WorkflowLoader(), ".")
+
+
+def test_find_cycle_matches_recursive_reference():
+    import random
+
+    from flowforge.model import dependency_edges, find_cycle
+
+    rng = random.Random(7)
+    for _ in range(200):
+        nodes = ["n%d" % i for i in range(rng.randint(1, 7))]
+        edges = {(a, b) for a in nodes for b in nodes
+                 if a != b and rng.random() < 0.25}
+        fw = wired(edges, nodes)
+        adjacency = {p.id: [] for p in fw.processes}
+        for producer, consumer in dependency_edges(fw):
+            adjacency[producer].append(consumer)
+        assert find_cycle(fw) == recursive_find_cycle(adjacency)
+
+
+def test_validate_deep_chain():
+    n = 5000
+    edges = {("c%04d" % i, "c%04d" % (i + 1)) for i in range(n - 1)}
+    nodes = ["c%04d" % i for i in range(n)]
+    from flowforge.model import find_cycle
+
+    assert find_cycle(wired(edges, nodes)) is None
+    assert find_cycle(wired(edges | {(nodes[-1], nodes[0])}, nodes)) == \
+        nodes + [nodes[0]]
 
 
 def test_validate_dangling_ref():

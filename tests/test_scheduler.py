@@ -2,17 +2,21 @@
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
-from flowforge.cache import CacheEntry, CacheStore
+from flowforge import runstate, scheduler
+from flowforge.cache import CacheEntry, CacheError, CacheStore
 from flowforge.model import WorkflowLoader, flatten, parse_workflow
 from flowforge.planner import Blob, Literal, build_graph, task_fingerprint
 from flowforge.scheduler import (EXECUTE, Policy, Runner, SchedulerError,
                                  decide_action, generate_run_id, write_stamp)
 from flowforge.runstate import read_events
 
-from conftest import finished_states, read_journal, started_tasks
+from conftest import (USECASE_DIR, finished_states, load_prov, read_journal,
+                      started_tasks)
 
 
 def graph_for(tmp_path, doc, params=None):
@@ -258,3 +262,148 @@ def test_decide_action_matrix(tmp_path):
     assert decide_action(task, Policy.UPDATE, cache, ws).kind == "skip"
     write_stamp(ws, "one", "0" * 64, {"o": digest}, {})
     assert decide_action(task, Policy.UPDATE, cache, ws).kind == "execute"
+
+
+# -- the event-driven core ----------------------------------------------------
+
+def layered(layers, width):
+    """`layers` rows of `width` tasks; each reads two tasks of the row above."""
+    procs = []
+    for row in range(layers):
+        for col in range(width):
+            proc = {"id": "t%d_%02d" % (row, col),
+                    "outputs": {"o": {"type": "file",
+                                      "path": "t%d_%02d.txt" % (row, col)}}}
+            if row == 0:
+                proc["command"] = ["sh", "-c", "echo %d > {outputs.o}" % col]
+            else:
+                proc["command"] = ["sh", "-c",
+                                   "cat {inputs.a} {inputs.b} > {outputs.o}"]
+                proc["inputs"] = {
+                    port: {"type": "file",
+                           "from": "t%d_%02d.o" % (row - 1, (col + k) % width)}
+                    for k, port in enumerate("ab")}
+            procs.append(proc)
+    return {"name": "layered", "processes": procs,
+            "outputs": {"last": "t%d_00.o" % (layers - 1)}}
+
+
+def test_each_task_fingerprinted_once(tmp_path, monkeypatch):
+    graph = graph_for(tmp_path, layered(4, 15))
+    assert len(graph.tasks) == 60
+    calls = []
+    real = scheduler.task_fingerprint
+
+    def counting(task):
+        calls.append(task.id)
+        return real(task)
+
+    monkeypatch.setattr(scheduler, "task_fingerprint", counting)
+    result = run_once(tmp_path / "ws", graph, Policy.RECOMPUTE, jobs=2)
+    assert result.counts == {"succeeded": 60}
+    assert sorted(calls) == sorted(graph.tasks)
+
+
+def test_jobs_one_starts_smallest_ready_id_first(tmp_path):
+    path = os.path.join(USECASE_DIR, "usecase.wf")
+    with open(path, encoding="utf-8") as fh:
+        wf = parse_workflow(fh.read(), source=path)
+    graph = build_graph(flatten(wf, WorkflowLoader(), USECASE_DIR, path), {})
+    ws = tmp_path / "ws"
+    result = run_once(ws, graph, Policy.RECOMPUTE, jobs=1)
+    assert result.ok
+    assert started_tasks(read_journal(str(ws), result.run_id)) == [
+        "mesh", "convert", "simulate", "macros", "postproc", "paper"]
+
+
+@pytest.mark.parametrize("error", [CacheError, OSError])
+def test_publish_failure_on_worker_fails_the_task(tmp_path, monkeypatch, error):
+    publishers = []
+    real = Runner._publish_outputs
+
+    def failing(self, task, outcome, workdir):
+        publishers.append(threading.current_thread())
+        if task.id == "a1":
+            raise error("disk trouble")
+        return real(self, task, outcome, workdir)
+
+    monkeypatch.setattr(Runner, "_publish_outputs", failing)
+    ws = tmp_path / "ws"
+    result = run_once(ws, graph_for(tmp_path, two_chains()),
+                      Policy.RECOMPUTE, jobs=2, keep_going=True)
+    assert {t: r.state for t, r in result.states.items()} == {
+        "a1": "failed", "a2": "blocked", "b1": "succeeded", "b2": "succeeded"}
+    assert "publishing outputs failed" in result.states["a1"].error
+    assert threading.main_thread() not in publishers
+    events = read_journal(str(ws), result.run_id)
+    assert events[-1].kind == "run-finished"
+    assert events[-1].payload["state"] == "failed"
+    assert "publishing outputs failed" in [
+        e for e in events if e.kind == "task-finished" and e.task == "a1"
+    ][0].payload["error"]
+    assert load_prov(str(ws), result.run_id)["run"] == result.run_id
+
+
+def test_noop_rerun_fsyncs_journal_once(tmp_path, monkeypatch):
+    doc = layered(5, 10)
+    ws = tmp_path / "ws"
+    run_once(ws, graph_for(tmp_path, doc), Policy.UPDATE, jobs=2)
+
+    fsyncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(runstate.os, "fsync",
+                        lambda fd: (fsyncs.append(fd), real_fsync(fd)))
+    visible = []
+    real_append = runstate.Journal.append_event
+
+    def append_then_read(self, event):
+        real_append(self, event)
+        events, _ = read_events(self.path)
+        visible.append(events[-1] == event)
+
+    monkeypatch.setattr(runstate.Journal, "append_event", append_then_read)
+    result = run_once(ws, graph_for(tmp_path, doc), Policy.UPDATE, jobs=2)
+    assert result.counts == {"skipped-up-to-date": 50}
+    assert 1 <= len(fsyncs) <= 2
+    assert len(visible) == 52 and all(visible)
+
+
+def test_link_run_reads_each_entry_once(tmp_path, monkeypatch):
+    ws = tmp_path / "ws"
+    run_once(ws, graph_for(tmp_path, two_chains()), Policy.RECOMPUTE)
+    lookups = []
+    real = CacheStore.get_entry
+
+    def counting(self, fingerprint):
+        lookups.append(fingerprint)
+        return real(self, fingerprint)
+
+    monkeypatch.setattr(CacheStore, "get_entry", counting)
+    result = run_once(ws, graph_for(tmp_path, two_chains()), Policy.LINK)
+    assert result.counts == {"cached": 4}
+    assert len(lookups) == 4
+
+
+def test_workers_publish_shared_content_concurrently(tmp_path):
+    """Many workers at once put the same blob, stamp and link outputs."""
+    procs = [{"id": "w%02d" % i,
+              "command": ["sh", "-c", "echo same > {outputs.o}"],
+              "outputs": {"o": {"type": "file", "path": "w%02d.txt" % i}}}
+             for i in range(24)]
+    doc = {"name": "shared", "processes": procs, "outputs": {"o": "w00.o"}}
+    ws = tmp_path / "ws"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = run_once(ws, graph_for(tmp_path, doc), Policy.RECOMPUTE,
+                          jobs=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.counts == {"succeeded": 24}
+    assert len({r.file_digests["o"] for r in result.states.values()}) == 1
+    cache = CacheStore(os.path.join(str(ws), "cache"))
+    for tid, r in result.states.items():
+        assert (ws / ("%s.txt" % tid)).read_text() == "same\n"
+        assert cache.get_entry(r.fingerprint).run_id == result.run_id
+    rerun = run_once(ws, graph_for(tmp_path, doc), Policy.UPDATE, jobs=8)
+    assert rerun.counts == {"skipped-up-to-date": 24}
