@@ -201,7 +201,7 @@ def run(workflow, params, policy, jobs, executor, keep_going, workdir,
 
     if dry_run:
         cache = CacheStore(os.path.join(workspace, "cache"))
-        actions = scheduler.plan_preview(graph, policy, cache, workspace)
+        actions = Runner(workspace, cache).plan_preview(graph, policy)
         for tid in graph.topo_order():
             click.echo("%-10s %s" % (_ACTION_WORD[actions[tid].kind], tid))
         return

@@ -98,11 +98,6 @@ class TaskInstance:
     resources: dict | None = None
 
     @property
-    def value_output_ports(self) -> frozenset[str]:
-        return frozenset(p for p, d in self.output_decls.items()
-                         if not d.type.is_artifact)
-
-    @property
     def file_output_paths(self) -> dict[str, str]:
         return {p: d.path for p, d in self.output_decls.items()
                 if d.path is not None}

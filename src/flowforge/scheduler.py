@@ -2,17 +2,22 @@
 failure propagation, and the journal/cache/provenance bookkeeping around
 task execution.
 
-The scheduler thread owns the run's results and its journal. It keeps
-an in-degree count per task and decides each task exactly once, when
-its last dependency finishes: skipped, linked and blocked tasks finish
-on the spot, and tasks to execute queue until one of the `jobs` worker
-threads is free. Ready tasks leave both queues smallest id first, which
-keeps the journal deterministic. A worker stages, executes and then
-publishes its own task: outputs into the cache and workspace, the
-stamp, the cache entry. That is safe without locks because output paths
-are unique per task, the cache installs blobs and entries by atomic
-rename, and stamps are per task. A worker hands back only a
-TaskResult; the journal is fsynced once before each blocking wait.
+One decision walk serves both run() and plan_preview(). It keeps an
+in-degree count per task and decides each task exactly once, when its
+last dependency settles: blocked check, binding resolution, one
+fingerprint, the policy. Ready tasks leave it smallest id first, which
+keeps the journal deterministic. run() settles skipped, linked and
+blocked tasks on the spot, and queues tasks to execute until one of the
+`jobs` worker threads is free; plan_preview() settles every task with
+its predicted outcome instead.
+
+In run() the scheduler thread owns the results and the journal. A
+worker stages, executes and then publishes its own task: outputs into
+the cache and workspace, the stamp, the cache entry. That is safe
+without locks because output paths are unique per task, the cache
+installs blobs and entries by atomic rename, and stamps are per task. A
+worker hands back only a TaskResult; the journal is fsynced once before
+each blocking wait.
 
 Policy semantics (per task):
   recompute  always Execute.
@@ -77,9 +82,10 @@ class Policy(str, Enum):
 
 @dataclass(frozen=True)
 class TaskAction:
-    kind: str  # "execute" | "link" | "skip"
+    kind: str  # "execute" | "link" | "skip" | "blocked"
     fingerprint: str | None = None
     entry: CacheEntry | None = field(default=None, compare=False)  # link's hit
+    stamp: dict | None = field(default=None, compare=False)  # the stamp update read
 
     @property
     def is_execute(self) -> bool:
@@ -91,6 +97,7 @@ class TaskAction:
 
 
 EXECUTE = TaskAction("execute")
+BLOCKED = TaskAction("blocked")
 
 
 @dataclass
@@ -174,7 +181,7 @@ def decide_action(task: TaskInstance, policy: Policy, cache: CacheStore,
     fingerprint must be computable). Cache corruption counts as a miss;
     the cache layer warns."""
     if policy == Policy.RECOMPUTE:
-        return EXECUTE
+        return TaskAction("execute", fingerprint)
     fp = fingerprint or task_fingerprint(task)
     if policy == Policy.LINK:
         entry = cache.get_entry(fp)
@@ -185,13 +192,80 @@ def decide_action(task: TaskInstance, policy: Policy, cache: CacheStore,
     stamp = read_stamp(workspace, task.id)
     if stamp is not None and stamp["fingerprint"] == fp \
             and _outputs_present(task, workspace):
-        return TaskAction("skip", fp)
-    return TaskAction("execute", fp)
+        return TaskAction("skip", fp, stamp=stamp)
+    return TaskAction("execute", fp, stamp=stamp)
 
 
 def generate_run_id() -> str:
     """Sortable-by-start-time and collision-proof within a workspace."""
     return "r%s-%s" % (time.strftime("%Y%m%d-%H%M%S"), uuid.uuid4().hex[:6])
+
+
+def _settled_result(action: TaskAction, predicted: dict | None = None) -> TaskResult:
+    """The result of a task settled without running it here: a link from
+    its cache entry, a skip from its stamp, and an execute from
+    `predicted`, the stamp of the outputs it is expected to reproduce.
+    Without one an execute's outputs are unknown, and every task that
+    reads them resolves to None."""
+    if action.kind == "link":
+        entry = action.entry
+        return TaskResult("cached", fingerprint=action.fingerprint,
+                          file_digests=dict(entry.file_outputs),
+                          value_outputs=dict(entry.value_outputs),
+                          cached_from=entry.run_id)
+    if action.kind == "skip":
+        return TaskResult("skipped-up-to-date", fingerprint=action.fingerprint,
+                          file_digests=dict(action.stamp["files"]),
+                          value_outputs=dict(action.stamp["values"]))
+    predicted = predicted or {"files": {}, "values": {}}
+    return TaskResult("succeeded", fingerprint=action.fingerprint,
+                      file_digests=dict(predicted["files"]),
+                      value_outputs=dict(predicted["values"]))
+
+
+class _Walk:
+    """The decision walk behind run() and plan_preview(). next() decides
+    the smallest ready task; settle() records a task's result and readies
+    the children whose last dependency it was."""
+
+    def __init__(self, runner: "Runner", graph: TaskGraph, policy: Policy):
+        self.runner, self.graph, self.policy = runner, graph, policy
+        self.results: dict[str, TaskResult] = {}
+        self.children = graph.children()
+        self.waiting = {tid: len(task.deps) for tid, task in graph.tasks.items()}
+        self.ready = sorted(tid for tid, n in self.waiting.items() if not n)  # sorted is a heap
+        self.executed: set[str] = set()  # tasks whose action was Execute
+
+    def next(self) -> tuple[TaskInstance, TaskInstance | None, TaskAction] | None:
+        """(task, resolved task, action) for the smallest ready task, or
+        None when no task is ready. A task with a failed, blocked or
+        aborted dependency gets BLOCKED. The resolved task is None when an
+        upstream output is unknown; the action is then EXECUTE."""
+        if not self.ready:
+            return None
+        task = self.graph.tasks[heapq.heappop(self.ready)]
+        if any(self.results[dep].state in BAD_STATES for dep in task.deps):
+            return task, task, BLOCKED
+        resolved = self.runner._resolve_bindings(self.graph, task, self.results)
+        if resolved is None:
+            action = EXECUTE
+        else:
+            fp = task_fingerprint(resolved)
+            if self.policy == Policy.UPDATE and task.deps & self.executed:
+                action = TaskAction("execute", fp)
+            else:
+                action = decide_action(resolved, self.policy, self.runner.cache,
+                                       self.runner.workspace, fp)
+        if action.is_execute:
+            self.executed.add(task.id)
+        return task, resolved, action
+
+    def settle(self, tid: str, result: TaskResult):
+        self.results[tid] = result
+        for child in self.children[tid]:
+            self.waiting[child] -= 1
+            if not self.waiting[child]:
+                heapq.heappush(self.ready, child)
 
 
 class Runner:
@@ -242,57 +316,38 @@ class Runner:
             "hostname": socket.gethostname(),
         })
 
-        result = RunResult(run_id, {}, 0.0)
+        walk = _Walk(self, graph, policy)
+        result = RunResult(run_id, walk.results, 0.0)
         results = result.states
-        children = graph.children()
-        waiting = {tid: len(task.deps) for tid, task in graph.tasks.items()}
-        ready = sorted(tid for tid, n in waiting.items() if not n)  # sorted is a heap
         runnable: list[tuple[str, TaskInstance, str]] = []  # heap by id
-        executed: set[str] = set()  # tasks whose action was Execute
         futures: dict = {}
         stop = False
 
         def finish(tid: str, task_result: TaskResult, payload: dict):
-            results[tid] = task_result
+            walk.settle(tid, task_result)
             journal.append("task-finished", tid, payload)
-            for child in children[tid]:
-                waiting[child] -= 1
-                if not waiting[child]:
-                    heapq.heappush(ready, child)
 
         pool = ThreadPoolExecutor(max_workers=self.jobs)
         try:
             while True:
-                while ready and not stop:
-                    tid = heapq.heappop(ready)
-                    task = graph.tasks[tid]
-                    if any(results[dep].state in BAD_STATES for dep in task.deps):
+                while not stop and (decision := walk.next()) is not None:
+                    task, resolved, action = decision
+                    tid, fp = task.id, action.fingerprint
+                    if action.kind == "blocked":
                         finish(tid, TaskResult("blocked"), {"state": "blocked"})
-                        continue
-                    resolved = self._resolve_bindings(graph, task, results)
-                    fp = task_fingerprint(resolved)
-                    forced = policy == Policy.UPDATE and bool(task.deps & executed)
-                    action = TaskAction("execute", fp) if forced else decide_action(
-                        resolved, policy, self.cache, self.workspace, fp)
-                    if action.kind == "skip":
-                        stamp = read_stamp(self.workspace, tid) or {}
-                        finish(tid, TaskResult(
-                            "skipped-up-to-date", fingerprint=fp,
-                            file_digests=dict(stamp.get("files", {})),
-                            value_outputs=dict(stamp.get("values", {}))),
-                            {"state": "skipped-up-to-date", "fingerprint": fp})
-                    elif action.kind == "link":
-                        entry = action.entry
-                        self._link_outputs(resolved, entry)
-                        linked = TaskResult(
-                            "cached", fingerprint=fp,
-                            file_digests=dict(entry.file_outputs),
-                            value_outputs=dict(entry.value_outputs),
-                            cached_from=entry.run_id)
-                        finish(tid, linked, self._finish_payload(resolved, linked))
-                    else:
-                        executed.add(tid)
+                    elif resolved is None:
+                        raise SchedulerError(
+                            "task %s needs an output its upstream result lacks"
+                            % tid)
+                    elif action.kind == "execute":
                         heapq.heappush(runnable, (tid, resolved, fp))
+                    elif action.kind == "skip":
+                        finish(tid, _settled_result(action),
+                               {"state": "skipped-up-to-date", "fingerprint": fp})
+                    else:
+                        self._link_outputs(resolved, action.entry)
+                        linked = _settled_result(action)
+                        finish(tid, linked, self._finish_payload(resolved, linked))
 
                 while runnable and len(futures) < self.jobs and not stop:
                     tid, resolved, fp = heapq.heappop(runnable)
@@ -337,40 +392,24 @@ class Runner:
         return result
 
     def plan_preview(self, graph: TaskGraph, policy: Policy = Policy.UPDATE) -> dict[str, TaskAction]:
-        """The actions run() would take if no task outcome changed.
-        Pure: touches neither workspace nor cache nor journals."""
-        policy = Policy(policy)
+        """The actions run() would take, decided by the same walk. A skip
+        settles from its stamp and a link from its cache entry, as in
+        run(). A task to execute settles from its stamp when the stamp
+        holds its current fingerprint, as if it reproduced those outputs;
+        otherwise its outputs are unknown and every task that reads them
+        executes too. Pure: touches neither workspace nor cache nor
+        journals."""
+        walk = _Walk(self, graph, Policy(policy))
         actions: dict[str, TaskAction] = {}
-        # predicted outputs: task -> (files, values) or None when unknowable
-        predicted: dict[str, tuple | None] = {}
-
-        for tid in graph.topo_order():
-            task = graph.tasks[tid]
-            if policy == Policy.RECOMPUTE:
-                actions[tid] = EXECUTE
-                continue
-
-            stamp = read_stamp(self.workspace, tid)
-            stamp_outputs = (stamp["files"], stamp["values"]) if stamp else None
-
-            resolved = self._resolve_from_predicted(graph, task, predicted)
-            forced = policy == Policy.UPDATE and any(
-                actions[dep].is_execute for dep in task.deps)
-
-            if forced or resolved is None:
-                actions[tid] = EXECUTE
-                predicted[tid] = stamp_outputs
-                continue
-
-            action = decide_action(resolved, policy, self.cache, self.workspace)
-            actions[tid] = action
-            if action.kind == "skip":
-                predicted[tid] = stamp_outputs
-            elif action.kind == "link":
-                predicted[tid] = (action.entry.file_outputs,
-                                  action.entry.value_outputs)
-            else:
-                predicted[tid] = stamp_outputs
+        while (decision := walk.next()) is not None:
+            task, _, action = decision
+            actions[task.id] = action
+            stamp = None
+            if action.is_execute and action.fingerprint is not None:
+                stamp = action.stamp or read_stamp(self.workspace, task.id)
+                if stamp and stamp["fingerprint"] != action.fingerprint:
+                    stamp = None
+            walk.settle(task.id, _settled_result(action, stamp))
         return actions
 
     # -- dispatch helpers ----------------------------------------------------
@@ -385,7 +424,10 @@ class Runner:
 
     # -- binding resolution and materialization ------------------------------
 
-    def _resolve_bindings(self, graph, task: TaskInstance, results) -> TaskInstance:
+    def _resolve_bindings(self, graph, task: TaskInstance,
+                          results) -> TaskInstance | None:
+        """`task` with each upstream output bound to its producer's
+        result; None when a producer's result lacks the output."""
         new_bindings: dict[str, object] = {}
         for port, binding in task.input_bindings.items():
             if not isinstance(binding, Pending):
@@ -394,51 +436,19 @@ class Runner:
             upstream = results[binding.producer]
             port_type = task.input_types[port]
             if port_type.is_artifact:
-                try:
-                    digest = upstream.file_digests[binding.port]
-                except KeyError:
-                    raise SchedulerError(
-                        "task %s needs %s.%s, which the upstream result lacks"
-                        % (task.id, binding.producer, binding.port)) from None
+                if binding.port not in upstream.file_digests:
+                    return None
                 decl = graph.tasks[binding.producer].output_decls[binding.port]
                 new_bindings[port] = Blob(
-                    digest,
+                    upstream.file_digests[binding.port],
                     name=os.path.basename(decl.path),
                     source=os.path.join(self.workspace,
                                         decl.path.replace("/", os.sep)),
                     tree=port_type.kind == "directory")
             else:
-                try:
-                    value = upstream.value_outputs[binding.port]
-                except KeyError:
-                    raise SchedulerError(
-                        "task %s needs value %s.%s, which the upstream result lacks"
-                        % (task.id, binding.producer, binding.port)) from None
-                new_bindings[port] = Literal(value)
-        return replace(task, input_bindings=new_bindings)
-
-    def _resolve_from_predicted(self, graph, task, predicted):
-        """Preview-time variant of _resolve_bindings; None when an
-        upstream prediction is unavailable."""
-        new_bindings: dict[str, object] = {}
-        for port, binding in task.input_bindings.items():
-            if not isinstance(binding, Pending):
-                new_bindings[port] = binding
-                continue
-            outputs = predicted.get(binding.producer)
-            if outputs is None:
-                return None
-            files, values = outputs
-            port_type = task.input_types[port]
-            if port_type.is_artifact:
-                if binding.port not in files:
+                if binding.port not in upstream.value_outputs:
                     return None
-                new_bindings[port] = Blob(files[binding.port],
-                                          tree=port_type.kind == "directory")
-            else:
-                if binding.port not in values:
-                    return None
-                new_bindings[port] = Literal(values[binding.port])
+                new_bindings[port] = Literal(upstream.value_outputs[binding.port])
         return replace(task, input_bindings=new_bindings)
 
     def _ingest_external_inputs(self, graph):
@@ -551,29 +561,26 @@ class Runner:
             if digest != outcome.file_digests.get(port):
                 raise CacheError(
                     "output %s.%s changed during collection" % (task.id, port))
-            dest = os.path.join(self.workspace, rel.replace("/", os.sep))
-            if is_dir:
-                if os.path.isdir(dest):
-                    shutil.rmtree(dest)
-                self.cache.materialize_tree(digest, dest)
-            else:
-                self.cache.materialize_blob(digest, dest)
             files[port] = digest
+        self._place_outputs(task, files)
         return files
 
     def _link_outputs(self, task: TaskInstance, entry: CacheEntry):
         """Materialize a cached result into the workspace without executing."""
+        self._place_outputs(task, entry.file_outputs)
+        write_stamp(self.workspace, task.id, entry.fingerprint,
+                    dict(entry.file_outputs), dict(entry.value_outputs))
+
+    def _place_outputs(self, task: TaskInstance, digests: dict[str, str]):
+        """Materialize each file output from the cache at its workspace path."""
         for port, rel in sorted(task.file_output_paths.items()):
-            digest = entry.file_outputs[port]
             dest = os.path.join(self.workspace, rel.replace("/", os.sep))
             if task.output_decls[port].type.kind == "directory":
                 if os.path.isdir(dest):
                     shutil.rmtree(dest)
-                self.cache.materialize_tree(digest, dest)
+                self.cache.materialize_tree(digests[port], dest)
             else:
-                self.cache.materialize_blob(digest, dest)
-        write_stamp(self.workspace, task.id, entry.fingerprint,
-                    dict(entry.file_outputs), dict(entry.value_outputs))
+                self.cache.materialize_blob(digests[port], dest)
 
     # -- journal payloads ----------------------------------------------------
 
@@ -629,17 +636,3 @@ def _username() -> str:
         return getpass.getuser()
     except Exception:
         return os.environ.get("USER", "unknown")
-
-
-# Module-level wrappers matching the documented operation shapes.
-
-def run(graph: TaskGraph, policy: Policy, executor, jobs: int,
-        keep_going: bool, *, workspace: str, cache: CacheStore | None = None,
-        run_id: str | None = None, meta: dict | None = None) -> RunResult:
-    runner = Runner(workspace, cache, executor, jobs, keep_going)
-    return runner.run(graph, policy, run_id, meta)
-
-
-def plan_preview(graph: TaskGraph, policy: Policy, cache: CacheStore,
-                 workspace: str) -> dict[str, TaskAction]:
-    return Runner(workspace, cache).plan_preview(graph, policy)

@@ -8,8 +8,32 @@ pinned down by the document.
 """
 
 import math
+from fractions import Fraction
 
 from reference_sha256 import sha256_hex
+
+
+def _shortest_digits(a: float) -> tuple[str, int]:
+    """Significant digits and decimal exponent of the shortest decimal
+    that round-trips the positive double `a`.
+
+    The correctly rounded %e string at a precision need not round-trip
+    while a neighbour in its last digit does (2**-24 renders as
+    ...063e-08, not the rounded ...062e-08), so both neighbours are
+    candidates too. Of the candidates that round-trip, the one closest
+    to `a` wins, ties going to the even last digit."""
+    for precision in range(1, 18):
+        mantissa, _, exp_text = ("%.*e" % (precision - 1, a)).partition("e")
+        scale = int(exp_text) - (precision - 1)  # a candidate is n * 10**scale
+        nearest = int(mantissa.replace(".", ""))
+        fits = [n for n in (nearest - 1, nearest, nearest + 1)
+                if n > 0 and float("%de%d" % (n, scale)) == a]
+        if fits:
+            best = min(fits, key=lambda n: (
+                abs(Fraction(n) * Fraction(10) ** scale - Fraction(a)), n % 2))
+            text = str(best)
+            return text.rstrip("0"), scale + len(text) - 1
+    raise ValueError("no round-tripping decimal for %r" % a)
 
 
 def ref_render_float(v: float) -> str:
@@ -18,14 +42,8 @@ def ref_render_float(v: float) -> str:
     if v == 0.0:
         return "-0.0" if math.copysign(1.0, v) < 0 else "0.0"
 
-    for precision in range(1, 18):
-        probe = "%.*e" % (precision - 1, v)
-        if float(probe) == v:
-            break
-    mantissa, _, exp_text = probe.partition("e")
-    exp = int(exp_text)
-    negative = mantissa.startswith("-")
-    digits = mantissa.lstrip("-").replace(".", "").rstrip("0") or "0"
+    negative = v < 0
+    digits, exp = _shortest_digits(abs(v))
 
     if -4 <= exp < 16:
         if exp >= len(digits) - 1:

@@ -25,6 +25,13 @@ def graph_for(tmp_path, doc, params=None):
     return build_graph(flat, params or {})
 
 
+def usecase_graph(usecase_dir, params):
+    path = os.path.join(usecase_dir, "usecase.wf")
+    with open(path, encoding="utf-8") as fh:
+        wf = parse_workflow(fh.read(), source=path)
+    return build_graph(flatten(wf, WorkflowLoader(), usecase_dir, path), params)
+
+
 def two_chains(fail_a1=False):
     """a1 -> a2 and b1 -> b2, independent chains."""
     def gen(task, fail=False):
@@ -305,12 +312,9 @@ def test_each_task_fingerprinted_once(tmp_path, monkeypatch):
 
 
 def test_jobs_one_starts_smallest_ready_id_first(tmp_path):
-    path = os.path.join(USECASE_DIR, "usecase.wf")
-    with open(path, encoding="utf-8") as fh:
-        wf = parse_workflow(fh.read(), source=path)
-    graph = build_graph(flatten(wf, WorkflowLoader(), USECASE_DIR, path), {})
     ws = tmp_path / "ws"
-    result = run_once(ws, graph, Policy.RECOMPUTE, jobs=1)
+    result = run_once(ws, usecase_graph(USECASE_DIR, {}), Policy.RECOMPUTE,
+                      jobs=1)
     assert result.ok
     assert started_tasks(read_journal(str(ws), result.run_id)) == [
         "mesh", "convert", "simulate", "macros", "postproc", "paper"]
@@ -407,3 +411,63 @@ def test_workers_publish_shared_content_concurrently(tmp_path):
         assert cache.get_entry(r.fingerprint).run_id == result.run_id
     rerun = run_once(ws, graph_for(tmp_path, doc), Policy.UPDATE, jobs=8)
     assert rerun.counts == {"skipped-up-to-date": 24}
+
+
+def test_noop_update_reads_each_stamp_once(tmp_path, monkeypatch):
+    doc = layered(3, 10)
+    ws = tmp_path / "ws"
+    run_once(ws, graph_for(tmp_path, doc), Policy.UPDATE, jobs=2)
+    reads = []
+    real = scheduler.read_stamp
+
+    def counting(workspace, task_id):
+        reads.append(task_id)
+        return real(workspace, task_id)
+
+    monkeypatch.setattr(scheduler, "read_stamp", counting)
+    result = run_once(ws, graph_for(tmp_path, doc), Policy.UPDATE, jobs=2)
+    assert result.counts == {"skipped-up-to-date": 30}
+    assert sorted(reads) == sorted(result.states)
+    reads.clear()
+    preview = Runner(str(ws)).plan_preview(graph_for(tmp_path, doc),
+                                           Policy.UPDATE)
+    assert {a.kind for a in preview.values()} == {"skip"}
+    assert sorted(reads) == sorted(preview)
+
+
+# -- dry-run agrees with run ---------------------------------------------------
+
+def edit_domain_size(usecase_dir, ws, params):
+    params["domain_size"] = 2.0
+
+
+def edit_postproc_script(usecase_dir, ws, params):
+    with open(os.path.join(usecase_dir, "bin", "postproc.py"), "a") as fh:
+        fh.write("\n# edited\n")
+
+
+def delete_simulate_output(usecase_dir, ws, params):
+    os.remove(os.path.join(ws, "result.vtk"))
+
+
+@pytest.mark.parametrize("policy", [Policy.UPDATE, Policy.LINK])
+@pytest.mark.parametrize("edit", [edit_domain_size, edit_postproc_script,
+                                  delete_simulate_output])
+def test_dry_run_agrees_with_next_run(usecase_copy, tmp_path, policy, edit):
+    """Under update the preview's execute set is exactly what the next run
+    starts; under link, where an executed task's new outputs cannot be
+    predicted, it is a superset."""
+    ws = str(tmp_path / "ws")
+    params = {}
+    assert run_once(ws, usecase_graph(usecase_copy, params), Policy.UPDATE).ok
+    edit(usecase_copy, ws, params)
+    preview = Runner(ws).plan_preview(usecase_graph(usecase_copy, params),
+                                      policy)
+    planned = {t for t, a in preview.items() if a.is_execute}
+    result = run_once(ws, usecase_graph(usecase_copy, params), policy)
+    assert result.ok
+    started = set(started_tasks(read_journal(ws, result.run_id)))
+    if policy == Policy.UPDATE:
+        assert planned == started
+    else:
+        assert planned >= started
