@@ -4,11 +4,16 @@ Layout:
     cache/objects/<first2>/<digest>   blob, named by SHA-256 of content
     cache/tasks/<fingerprint>.json    task result entry
 
-Blobs are written via temp file + atomic rename, so concurrent writers
-are safe; stored blobs are made read-only because workspaces hard-link
-them. Directory outputs are stored as a tree-manifest blob (canonical
-bytes, own digest) plus one blob per member file. gc takes an exclusive
-lock file and refuses to run when it is already held.
+put_blob is the one place that reads an artifact into the store. It
+hashes a file while copying it into a temp file, then installs the copy
+by atomic rename under the digest of the bytes copied, so a blob's name
+is its content's hash even if the source changes meanwhile, and
+concurrent writers are safe. Stored blobs are made read-only because
+task sandboxes and linked workspaces hard-link them. Directory outputs
+are stored as a tree-manifest blob (canonical bytes, own digest) plus
+one blob per member file. gc keeps the entries of kept runs, the inputs
+those runs recorded and every blob either references; it takes an
+exclusive lock file and refuses to run when it is already held.
 """
 
 from __future__ import annotations
@@ -91,75 +96,35 @@ class CacheStore:
         return os.path.isfile(self.blob_path(digest))
 
     def put_blob(self, source) -> str:
-        """Store bytes, a readable binary stream, or a file by path.
-
-        Idempotent: content already present is not rewritten. Returns
-        the content digest.
-        """
+        """Store bytes, or a file by path, hashed while it is copied;
+        returns the digest of the bytes stored. Idempotent: content
+        already present is not rewritten."""
         if isinstance(source, bytes):
-            return self._put_stream_like(lambda fh: fh.write(source),
-                                         hashlib.sha256(source).hexdigest())
-        if hasattr(source, "read"):
-            return self._put_stream(source)
-        # A filesystem path. Hash first, skip the copy when present.
-        path = os.fspath(source)
-        digest = file_digest(path)
-        if self.has_blob(digest):
-            return digest
-
-        def copy(fh):
-            with open(path, "rb") as src:
-                shutil.copyfileobj(src, fh)
-        return self._put_stream_like(copy, digest)
-
-    def _put_stream(self, stream) -> str:
-        h = hashlib.sha256()
+            digest = hashlib.sha256(source).hexdigest()
+            if self.has_blob(digest):
+                return digest
         os.makedirs(self.objects_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.objects_dir, prefix=".ingest-")
         try:
             with os.fdopen(fd, "wb") as fh:
-                while True:
-                    chunk = stream.read(1 << 20)
-                    if not chunk:
-                        break
-                    h.update(chunk)
-                    fh.write(chunk)
-            digest = h.hexdigest()
-            self._install(tmp, digest)
+                if isinstance(source, bytes):
+                    fh.write(source)
+                else:
+                    digest = file_digest(source, out=fh)
+            dest = self.blob_path(digest)
+            if not os.path.exists(dest):
+                os.makedirs(os.path.dirname(dest), exist_ok=True)
+                os.chmod(tmp, BLOB_MODE)
+                os.replace(tmp, dest)
             return digest
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-
-    def _put_stream_like(self, write, digest) -> str:
-        if self.has_blob(digest):
-            return digest
-        os.makedirs(self.objects_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.objects_dir, prefix=".ingest-")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                write(fh)
-            self._install(tmp, digest)
-            return digest
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-
-    def _install(self, tmp, digest):
-        dest = self.blob_path(digest)
-        if os.path.exists(dest):
-            return
-        os.makedirs(os.path.dirname(dest), exist_ok=True)
-        os.chmod(tmp, BLOB_MODE)
-        os.replace(tmp, dest)
 
     def put_tree(self, root) -> str:
         """Store a directory: every member file as a blob plus the
         canonical tree manifest; returns the tree digest."""
-        manifest = tree_manifest(root)
-        for rel in manifest["entries"]:
-            self.put_blob(os.path.join(root, rel.replace("/", os.sep)))
-        return self.put_blob(canon_bytes(manifest))
+        return self.put_blob(canon_bytes(tree_manifest(root, self.put_blob)))
 
     def open_blob(self, digest: str):
         try:
@@ -181,20 +146,12 @@ class CacheStore:
         return manifest
 
     def materialize_blob(self, digest: str, dest: str):
-        """Place blob content at dest: hard link when the filesystem
-        allows, copy otherwise. Linked files share the store's read-only
-        inode, which is the write protection."""
-        os.makedirs(os.path.dirname(dest) or ".", exist_ok=True)
+        """Place blob content at dest. Linked files share the store's
+        read-only inode, which is the write protection."""
         src = self.blob_path(digest)
         if not os.path.isfile(src):
             raise CacheError("blob %s missing from store" % digest)
-        if os.path.lexists(dest):
-            os.unlink(dest)
-        try:
-            os.link(src, dest)
-        except OSError:
-            shutil.copyfile(src, dest)
-            os.chmod(dest, BLOB_MODE)
+        link_file(src, dest)
 
     def materialize_tree(self, digest: str, dest: str):
         manifest = self.read_tree_manifest(digest)
@@ -257,11 +214,10 @@ class CacheStore:
 
     # -- garbage collection ------------------------------------------------
 
-    def _entry_blob_closure(self, entry: CacheEntry) -> set[str]:
-        refs: set[str] = set()
-        for port, digest in entry.file_outputs.items():
-            refs.add(digest)
-            # A digest may name a tree manifest; its members are live too.
+    def _blob_closure(self, digests) -> set[str]:
+        """`digests` plus the members of those that name tree manifests."""
+        refs = set(digests)
+        for digest in digests:
             if self.has_blob(digest):
                 try:
                     manifest = self.read_tree_manifest(digest)
@@ -270,10 +226,11 @@ class CacheStore:
                 refs.update(manifest["entries"].values())
         return refs
 
-    def gc(self, keep_runs) -> GcReport:
-        """Drop entries not produced by a kept run, then blobs nothing
-        references. Requires the exclusive lock; never removes data an
-        entry still points at."""
+    def gc(self, keep_runs, keep_blobs=()) -> GcReport:
+        """Drop entries not produced by a kept run, then blobs that
+        neither a kept entry nor `keep_blobs` (the recorded inputs of the
+        kept runs) references. Requires the exclusive lock; never
+        removes data an entry still points at."""
         keep_runs = set(keep_runs)
         os.makedirs(self.root, exist_ok=True)
         lock = os.path.join(self.root, "gc.lock")
@@ -284,7 +241,7 @@ class CacheStore:
         os.close(fd)
         try:
             report = GcReport()
-            live_blobs: set[str] = set()
+            roots = set(keep_blobs)
             for name in sorted(_listdir_or_empty(self.tasks_dir)):
                 if not name.endswith(".json") or name.startswith("."):
                     continue
@@ -299,11 +256,12 @@ class CacheStore:
                     continue
                 if entry.run_id in keep_runs:
                     report.kept_entries += 1
-                    live_blobs |= self._entry_blob_closure(entry)
+                    roots.update(entry.file_outputs.values())
                 else:
                     os.unlink(path)
                     report.removed_entries.append(fingerprint)
 
+            live_blobs = self._blob_closure(roots)
             for shard in sorted(_listdir_or_empty(self.objects_dir)):
                 shard_dir = os.path.join(self.objects_dir, shard)
                 if not os.path.isdir(shard_dir):
@@ -319,6 +277,18 @@ class CacheStore:
             return report
         finally:
             os.unlink(lock)
+
+
+def link_file(src: str, dest: str):
+    """Hard-link src at dest, replacing dest; copy it, mode included,
+    where the filesystem has no hard links."""
+    os.makedirs(os.path.dirname(dest) or ".", exist_ok=True)
+    if os.path.lexists(dest):
+        os.unlink(dest)
+    try:
+        os.link(src, dest)
+    except OSError:
+        shutil.copy(src, dest)
 
 
 def _listdir_or_empty(path: str) -> list:

@@ -41,22 +41,24 @@ def canon_digest(value: Value) -> str:
     return hashlib.sha256(canon_bytes(value)).hexdigest()
 
 
-def file_digest(path) -> str:
-    """SHA-256 hex digest of a file's raw bytes, streamed."""
+def file_digest(path, out=None) -> str:
+    """SHA-256 hex digest of a file's raw bytes, streamed. When given,
+    the binary file `out` receives every chunk hashed."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(1 << 20)
-            if not chunk:
-                break
+        while chunk := fh.read(1 << 20):
             h.update(chunk)
+            if out is not None:
+                out.write(chunk)
     return h.hexdigest()
 
 
-def tree_manifest(root) -> dict:
+def tree_manifest(root, member=None) -> dict:
     """Canonical manifest of a directory: every regular file, recursively,
-    keyed by /-separated relative path. Symlinks and empty dirs are not
+    keyed by /-separated relative path and named by `member(path)`
+    (file_digest by default). Symlinks and empty dirs are not
     represented."""
+    member = member or file_digest
     entries = {}
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()
@@ -65,7 +67,7 @@ def tree_manifest(root) -> dict:
             if os.path.islink(full) or not os.path.isfile(full):
                 continue
             rel = os.path.relpath(full, root).replace(os.sep, "/")
-            entries[rel] = file_digest(full)
+            entries[rel] = member(full)
     return {"kind": "tree", "entries": entries}
 
 
@@ -77,69 +79,66 @@ def tree_digest(root) -> str:
 def canon_decode(data: bytes) -> Value:
     """Inverse of canon_bytes. The encoding is prefix-free, so decoding
     is unambiguous; trailing bytes are an error."""
-    value, rest = _decode(memoryview(data))
-    if len(rest):
+    data = bytes(data)
+    value, end = _decode(data, 0)
+    if end != len(data):
         raise CanonError("trailing bytes after canonical value")
     return value
 
 
-def _decode(buf):
-    if not len(buf):
-        raise CanonError("truncated canonical value")
-    tag = buf[0:1].tobytes()
-    if tag == b"n":
-        return None, _expect_semi(buf[1:])
-    if tag == b"t":
-        return True, _expect_semi(buf[1:])
-    if tag == b"f":
-        return False, _expect_semi(buf[1:])
-    if tag == b"i" or tag == b"d":
-        end = bytes(buf).find(b";")
-        if end < 1:
-            raise CanonError("unterminated number")
-        text = buf[1:end].tobytes().decode("ascii")
-        return (int(text) if tag == b"i" else float(text)), buf[end + 1:]
+_CONSTANTS = {b"n": None, b"t": True, b"f": False}
+
+
+def _decode(buf: bytes, pos: int):
+    """The value whose tag is at buf[pos], and the offset just past it.
+    Each token is searched for from its own offset, so decoding is
+    linear in len(buf)."""
+    tag = buf[pos:pos + 1]
     if tag == b"s":
-        head = bytes(buf)
-        colon = head.find(b":")
-        if colon < 1:
+        colon = buf.find(b":", pos + 1)
+        if colon < 0:
             raise CanonError("malformed string length")
-        length = int(head[1:colon])
+        length = int(buf[pos + 1:colon])
         start = colon + 1
-        raw = buf[start:start + length]
-        if len(raw) != length or buf[start + length:start + length + 1].tobytes() != b";":
+        end = start + length
+        if length < 0 or buf[end:end + 1] != b";":
             raise CanonError("truncated string")
-        return raw.tobytes().decode("utf-8"), buf[start + length + 1:]
+        return buf[start:end].decode("utf-8"), end + 1
+    if tag in _CONSTANTS:
+        if buf[pos + 1:pos + 2] != b";":
+            raise CanonError("missing terminator")
+        return _CONSTANTS[tag], pos + 2
+    if tag == b"i" or tag == b"d":
+        end = buf.find(b";", pos + 1)
+        if end < 0:
+            raise CanonError("unterminated number")
+        text = buf[pos + 1:end].decode("ascii")
+        return (int(text) if tag == b"i" else float(text)), end + 1
     if tag == b"l":
-        buf = buf[1:]
+        pos += 1
         items = []
         while True:
-            if not len(buf):
+            if pos >= len(buf):
                 raise CanonError("unterminated list")
-            if buf[0:1].tobytes() == b";":
-                return items, buf[1:]
-            item, buf = _decode(buf)
+            if buf[pos:pos + 1] == b";":
+                return items, pos + 1
+            item, pos = _decode(buf, pos)
             items.append(item)
     if tag == b"m":
-        buf = buf[1:]
+        pos += 1
         result = {}
         while True:
-            if not len(buf):
+            if pos >= len(buf):
                 raise CanonError("unterminated map")
-            if buf[0:1].tobytes() == b";":
-                return result, buf[1:]
-            key, buf = _decode(buf)
+            if buf[pos:pos + 1] == b";":
+                return result, pos + 1
+            key, pos = _decode(buf, pos)
             if not isinstance(key, str):
                 raise CanonError("map key must be a string")
-            value, buf = _decode(buf)
-            result[key] = value
+            result[key], pos = _decode(buf, pos)
+    if not tag:
+        raise CanonError("truncated canonical value")
     raise CanonError("unknown tag %r" % tag)
-
-
-def _expect_semi(buf):
-    if buf[0:1].tobytes() != b";":
-        raise CanonError("missing terminator")
-    return buf[1:]
 
 
 def _encode(value: Value, out: bytearray) -> None:

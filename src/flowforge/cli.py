@@ -400,20 +400,24 @@ def cache_ls(workdir):
 @click.option("--workdir", type=click.Path(file_okay=False), default=".",
               show_default=True)
 def cache_gc(keep, workdir):
-    """Drop cache entries from forgotten runs, then unreferenced blobs."""
+    """Drop cache entries from forgotten runs, then blobs that neither a
+    kept entry nor a kept run's recorded inputs reference."""
     workspace = os.path.abspath(workdir)
     store = CacheStore(os.path.join(workspace, "cache"))
+    runs_dir = os.path.join(workspace, "runs")
     if keep:
         keep_runs = set(keep)
     else:
-        runs_dir = os.path.join(workspace, "runs")
         try:
             keep_runs = {d for d in os.listdir(runs_dir)
                          if os.path.isdir(os.path.join(runs_dir, d))}
         except OSError:
             keep_runs = set()
+    inputs = {digest for doc in provenance.iter_docs(runs_dir)
+              if doc.run_id in keep_runs
+              for rec in doc.records for digest in rec.input_files.values()}
     try:
-        report = store.gc(keep_runs)
+        report = store.gc(keep_runs, inputs)
     except GcLockError as exc:
         raise CliError(str(exc)) from exc
     click.echo("kept %d entries, %d blobs; removed %d entries, %d blobs"

@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from ..canon import file_digest, tree_digest
+from ..canon import file_digest  # noqa: F401  (perfbench's tracer wraps it)
 from ..model import PortType, check_value
 
 MANIFEST_NAME = "outputs.json"
@@ -66,7 +66,6 @@ class Outcome:
     exit_code: int
     stdout_path: str | None = None
     stderr_path: str | None = None
-    file_digests: dict[str, str] = field(default_factory=dict)
     value_outputs: dict[str, object] = field(default_factory=dict)
     error: str | None = None
 
@@ -76,13 +75,13 @@ class Outcome:
 
 
 def collect_outcome(spec: TaskSpec, exit_code: int, error: str | None = None) -> Outcome:
-    """Observe a finished command: digest declared outputs, parse and
-    type-check the value manifest.
+    """Observe a finished command: check that the declared artifacts
+    exist, parse and type-check the value manifest.
 
     Success requires exit 0, every declared artifact present, and every
-    declared value present in the manifest with the right type. Digests
-    are computed here, over local files, which for remote execution
-    means after stage-out.
+    declared value present in the manifest with the right type. The
+    cache store hashes artifacts as it copies them in, over local files,
+    which for remote execution means after stage-out.
     """
     outcome = Outcome(
         exit_code,
@@ -97,18 +96,11 @@ def collect_outcome(spec: TaskSpec, exit_code: int, error: str | None = None) ->
         if out.path is None:
             continue
         full = os.path.join(spec.workdir, out.path.replace("/", os.sep))
-        if out.type.kind == "directory":
-            if not os.path.isdir(full):
-                outcome.error = "MissingOutput(%s): expected directory %s" % (
-                    out.port, out.path)
-                return outcome
-            outcome.file_digests[out.port] = tree_digest(full)
-        else:
-            if not os.path.isfile(full):
-                outcome.error = "MissingOutput(%s): expected file %s" % (
-                    out.port, out.path)
-                return outcome
-            outcome.file_digests[out.port] = file_digest(full)
+        is_dir = out.type.kind == "directory"
+        if not (os.path.isdir(full) if is_dir else os.path.isfile(full)):
+            outcome.error = "MissingOutput(%s): expected %s %s" % (
+                out.port, "directory" if is_dir else "file", out.path)
+            return outcome
 
     value_ports = spec.value_ports
     if value_ports:

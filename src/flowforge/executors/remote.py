@@ -93,8 +93,9 @@ class LoopbackTransport:
 class RemoteExecutor:
     """Stage inputs out, run remotely, stage outputs back, observe locally.
 
-    Digests are always computed on the local side after stage-out, so a
-    lying or lossy transport cannot corrupt the cache. A declared output
+    Outputs are hashed by the cache store as the scheduler copies the
+    retrieved local files in, after stage-out, so a lying or lossy
+    transport cannot corrupt the cache. A declared output
     the transport cannot retrieve simply stays absent locally and
     surfaces as MissingOutput; nothing partial is ever cached.
     """

@@ -32,6 +32,7 @@ Policy semantics (per task):
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import json
 import logging
@@ -45,9 +46,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import provenance, runstate
-from .cache import CacheError, CacheStore
-from .cache import CacheEntry
-from .canon import file_digest, tree_digest
+from .cache import CacheEntry, CacheError, CacheStore, link_file
+from .canon import file_digest
 from .executors import OutputSpec, StagedInput, TaskSpec
 from .executors.local import LocalExecutor
 from .model import env_to_data
@@ -55,7 +55,6 @@ from .planner import (
     Blob,
     Literal,
     Pending,
-    PlanError,
     TaskGraph,
     TaskInstance,
     task_fingerprint,
@@ -453,46 +452,37 @@ class Runner:
 
     def _ingest_external_inputs(self, graph):
         """Copy param-supplied artifacts into the cache up front, so
-        every later materialization comes from one place and lineage
-        sees external inputs as first-class artifacts."""
+        lineage sees external inputs as first-class artifacts."""
         for task in graph.tasks.values():
             for binding in task.input_bindings.values():
-                if not isinstance(binding, Blob) or binding.source is None:
-                    continue
-                if self.cache.has_blob(binding.digest):
-                    continue
-                if binding.tree:
-                    actual = self.cache.put_tree(binding.source)
-                else:
-                    actual = self.cache.put_blob(binding.source)
-                if actual != binding.digest:
-                    raise PlanError(
-                        "input %s changed since the graph was built "
-                        "(expected %s, got %s)"
-                        % (binding.source, binding.digest[:12], actual[:12]))
+                if isinstance(binding, Blob) and binding.source is not None:
+                    self._ingest_input(binding)
+
+    def _ingest_input(self, binding: Blob):
+        """Copy `binding`'s source into the cache unless it holds the
+        digest already. The store names the copy, so another digest
+        means the source changed since the graph was built."""
+        if self.cache.has_blob(binding.digest):
+            return
+        if binding.source is None:
+            raise CacheError("no source for input %s" % binding.digest[:12])
+        actual = self.cache.put_tree(binding.source) if binding.tree \
+            else self.cache.put_blob(binding.source)
+        if actual != binding.digest:
+            raise CacheError(
+                "input %s changed since the graph was built "
+                "(expected %s, got %s)"
+                % (binding.source, binding.digest[:12], actual[:12]))
 
     def _materialize_input(self, port: str, binding: Blob, workdir: str) -> str:
         rel = "inputs/%s/%s" % (port, binding.name or binding.digest[:12])
         dest = os.path.join(workdir, rel.replace("/", os.sep))
+        self._ingest_input(binding)
         if binding.tree:
-            if self.cache.has_blob(binding.digest):
-                self.cache.materialize_tree(binding.digest, dest)
-                return rel
-            if binding.source and os.path.isdir(binding.source) \
-                    and tree_digest(binding.source) == binding.digest:
-                shutil.copytree(binding.source, dest)
-                return rel
+            self.cache.materialize_tree(binding.digest, dest)
         else:
-            if self.cache.has_blob(binding.digest):
-                self.cache.materialize_blob(binding.digest, dest)
-                return rel
-            if binding.source and os.path.isfile(binding.source) \
-                    and file_digest(binding.source) == binding.digest:
-                os.makedirs(os.path.dirname(dest), exist_ok=True)
-                shutil.copyfile(binding.source, dest)
-                return rel
-        raise CacheError(
-            "no source for input %s (digest %s)" % (port, binding.digest[:12]))
+            self.cache.materialize_blob(binding.digest, dest)
+        return rel
 
     def _execute_task(self, task: TaskInstance, fp: str,
                       run_dir: str) -> TaskResult:
@@ -527,14 +517,16 @@ class Runner:
                 outputs=outputs,
                 wrapper=task.wrapper,
                 resources=task.resources)
+            before = _staged_files(workdir, staged)
             outcome = self.executor.execute(spec)
+            rewritten = self._rewritten_input(task, before)
         except (CacheError, OSError) as exc:
             log.warning("task %s could not be staged: %s", task.id, exc)
             return TaskResult("failed", exit_code=-1, fingerprint=fp,
                               error="staging failure: %s" % exc)
-        if not outcome.success:
+        if rewritten or not outcome.success:
             return TaskResult("failed", exit_code=outcome.exit_code,
-                              fingerprint=fp, error=outcome.error)
+                              fingerprint=fp, error=rewritten or outcome.error)
         values = dict(outcome.value_outputs)
         try:
             files = self._publish_outputs(task, outcome, workdir)
@@ -548,39 +540,65 @@ class Runner:
         return TaskResult("succeeded", exit_code=0, fingerprint=fp,
                           file_digests=files, value_outputs=values)
 
+    def _rewritten_input(self, task: TaskInstance, before: dict) -> str | None:
+        """An error naming the first input whose staged bytes the task
+        changed, or None; only files whose size or mtime moved are
+        rehashed. A changed blob leaves the store with the tree that
+        holds it, so entries that name them become misses."""
+        for path, (port, member, stat) in sorted(before.items()):
+            try:
+                now = os.stat(path)
+            except FileNotFoundError:
+                continue  # unlinking a staged link leaves the store alone
+            if (now.st_size, now.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns):
+                continue
+            tree = task.input_bindings[port].digest
+            digest = tree if member is None else \
+                self.cache.read_tree_manifest(tree)["entries"][member]
+            if file_digest(path) != digest:
+                for name in {digest, tree}:
+                    with contextlib.suppress(FileNotFoundError):
+                        os.unlink(self.cache.blob_path(name))
+                return "ModifiedInput(%s): the task rewrote its input %s" % (
+                    port, os.path.basename(path))
+        return None
+
     def _publish_outputs(self, task: TaskInstance, outcome,
                          workdir: str) -> dict[str, str]:
-        """Ingest declared outputs into the cache and place them at their
-        workspace paths. Returns port -> digest."""
+        """Ingest declared outputs into the cache, then hard-link the
+        produced files to their workspace paths, so that a task that
+        rewrites its staged input, a link into the store, cannot reach
+        them. Returns port -> digest."""
         files: dict[str, str] = {}
         for port, rel in sorted(task.file_output_paths.items()):
             produced = os.path.join(workdir, rel.replace("/", os.sep))
-            is_dir = task.output_decls[port].type.kind == "directory"
-            digest = self.cache.put_tree(produced) if is_dir \
-                else self.cache.put_blob(produced)
-            if digest != outcome.file_digests.get(port):
-                raise CacheError(
-                    "output %s.%s changed during collection" % (task.id, port))
-            files[port] = digest
-        self._place_outputs(task, files)
+            dest = os.path.join(self.workspace, rel.replace("/", os.sep))
+            if task.output_decls[port].type.kind != "directory":
+                files[port] = self.cache.put_blob(produced)
+                link_file(produced, dest)
+                continue
+            files[port] = self.cache.put_tree(produced)
+            if os.path.isdir(dest):
+                shutil.rmtree(dest)
+            os.makedirs(dest)
+            for member in self.cache.read_tree_manifest(files[port])["entries"]:
+                member = member.replace("/", os.sep)
+                link_file(os.path.join(produced, member),
+                          os.path.join(dest, member))
         return files
 
     def _link_outputs(self, task: TaskInstance, entry: CacheEntry):
         """Materialize a cached result into the workspace without executing."""
-        self._place_outputs(task, entry.file_outputs)
-        write_stamp(self.workspace, task.id, entry.fingerprint,
-                    dict(entry.file_outputs), dict(entry.value_outputs))
-
-    def _place_outputs(self, task: TaskInstance, digests: dict[str, str]):
-        """Materialize each file output from the cache at its workspace path."""
         for port, rel in sorted(task.file_output_paths.items()):
             dest = os.path.join(self.workspace, rel.replace("/", os.sep))
             if task.output_decls[port].type.kind == "directory":
                 if os.path.isdir(dest):
                     shutil.rmtree(dest)
-                self.cache.materialize_tree(digests[port], dest)
+                self.cache.materialize_tree(entry.file_outputs[port], dest)
             else:
-                self.cache.materialize_blob(digests[port], dest)
+                self.cache.materialize_blob(entry.file_outputs[port], dest)
+        write_stamp(self.workspace, task.id, entry.fingerprint,
+                    dict(entry.file_outputs), dict(entry.value_outputs))
 
     # -- journal payloads ----------------------------------------------------
 
@@ -621,6 +639,21 @@ class Runner:
         doc = provenance.record(events)
         provenance.write_doc(run_dir, doc)
         provenance.update_index(os.path.dirname(run_dir), doc)
+
+
+def _staged_files(workdir: str, staged) -> dict[str, tuple]:
+    """path -> (port, path within a directory input or None, stat) for
+    every staged input file; a directory input gives each member."""
+    files = {}
+    for item in staged:
+        root = os.path.join(workdir, item.path.replace("/", os.sep))
+        paths = [os.path.join(d, name) for d, _, names in os.walk(root)
+                 for name in names] if item.tree else [root]
+        for path in paths:
+            member = os.path.relpath(path, root).replace(os.sep, "/") \
+                if item.tree else None
+            files[path] = (item.port, member, os.stat(path))
+    return files
 
 
 def _engine_version() -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -71,3 +72,17 @@ def load_prov(ws, run_id):
     path = os.path.join(ws, "runs", run_id, "provenance.json")
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def assert_blobs_match_names(ws):
+    """Every blob in the workspace's store hashes to the name it is
+    filed under; hashed here with hashlib, independently of the engine."""
+    objects = os.path.join(ws, "cache", "objects")
+    for dirpath, _, names in os.walk(objects):
+        for name in names:
+            if name.startswith("."):
+                continue
+            with open(os.path.join(dirpath, name), "rb") as fh:
+                actual = hashlib.sha256(fh.read()).hexdigest()
+            assert actual == name, "blob %s holds bytes hashing to %s" % (
+                name, actual)

@@ -17,8 +17,8 @@ import time
 
 import pytest
 
-from conftest import (USECASE_DIR, cli, load_prov, read_journal, run_ids,
-                      started_tasks)
+from conftest import (USECASE_DIR, assert_blobs_match_names, cli, load_prov,
+                      read_journal, run_ids, started_tasks)
 from dot_checker import parse_dot
 
 EDGES = [("mesh", "convert"), ("convert", "simulate"),
@@ -139,6 +139,7 @@ def test_criterion_01_recompute_end_to_end(ws):
     content = open(paper, encoding="utf-8").read()
     assert "\\newcommand{\\numdofs}{9}" in content
     assert "\\newcommand{\\domainsize}{2.0}" in content
+    assert_blobs_match_names(ws)
     ok(1, "recompute executed all 6 tasks in dependency order; "
           "num_dofs=9 landed in the final artifact")
 
@@ -182,6 +183,7 @@ def test_criterion_02_update_minimality_vs_oracle(ws, usecase_copy):
     rid4 = newest_run(ws, seen)
     assert set(started_tasks(read_journal(ws, rid4))) == expected
 
+    assert_blobs_match_names(ws)
     ok(2, "update policy re-executed exactly the oracle's reachable sets "
           "(none / {postproc,paper} / all 6)")
 
@@ -201,6 +203,7 @@ def test_criterion_03_link_reruns_nothing(ws):
     actions = actions_by_task(ws, second)
     assert actions == {t: "LinkCached" for t in ALL_TASKS}
     assert output_digests(ws, second) == output_digests(ws, first)
+    assert_blobs_match_names(ws)
     ok(3, "link rerun executed nothing, linked all 6 tasks, "
           "digests identical to the producing run")
 
@@ -214,6 +217,7 @@ def test_criterion_04_recompute_ignores_cache(ws):
     assert proc.returncode == 0, proc.stderr
     second = newest_run(ws, seen)
     assert len(started_tasks(read_journal(ws, second))) == 6
+    assert_blobs_match_names(ws)
     ok(4, "recompute re-executed all 6 tasks despite warm cache and stamps")
 
 
@@ -285,6 +289,7 @@ def test_criterion_07_environment_invalidates(ws, usecase_copy):
     rid = newest_run(ws, seen)
     started = set(started_tasks(read_journal(ws, rid)))
     assert started == {"simulate", "postproc", "macros", "paper"}
+    assert_blobs_match_names(ws)
     ok(7, "bumping one manifest version re-executed exactly simulate "
           "and its dependents")
 

@@ -1,11 +1,13 @@
 """Content-addressed store: digests, atomicity, corruption, gc."""
 
+import hashlib
 import json
 import os
 import threading
 
 import pytest
 
+from flowforge import cache
 from flowforge.cache import CacheEntry, CacheStore, GcLockError
 from flowforge.canon import file_digest, tree_digest
 
@@ -60,6 +62,25 @@ def test_concurrent_puts_of_same_content(store, tmp_path):
     assert len(set(digests)) == 1
     with store.open_blob(digests[0]) as fh:
         assert fh.read() == b"racy content"
+
+
+def test_blob_is_named_by_the_bytes_it_holds(store, tmp_path, monkeypatch):
+    """A source rewritten just after it was hashed must not be stored
+    under the old digest: the store names the bytes it copied."""
+    src = tmp_path / "racy.bin"
+    src.write_bytes(b"first version")
+    real = cache.file_digest
+
+    def hash_then_rewrite(path, *args, **kwargs):
+        digest = real(path, *args, **kwargs)
+        with open(path, "wb") as fh:
+            fh.write(b"second, longer version")
+        return digest
+
+    monkeypatch.setattr(cache, "file_digest", hash_then_rewrite)
+    digest = store.put_blob(str(src))
+    with store.open_blob(digest) as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
 def test_no_partial_blob_on_failed_put(store, tmp_path):

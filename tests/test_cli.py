@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from conftest import NEGATIVE_DIR, USECASE_DIR, cli, run_ids
+from conftest import (NEGATIVE_DIR, USECASE_DIR, assert_blobs_match_names,
+                      cli, load_prov, run_ids)
 
 WF = os.path.join(USECASE_DIR, "usecase.wf")
 
@@ -151,6 +152,20 @@ def test_cache_ls_and_gc(ws):
     proc = cli("cache", "gc", "--workdir", ws)
     assert proc.returncode == 0
     assert "kept 6 entries" in proc.stdout
+
+
+def test_cache_gc_keeps_recorded_inputs_of_kept_runs(ws):
+    assert cli("run", WF, "--workdir", ws).returncode == 0
+    proc = cli("cache", "gc", "--workdir", ws)
+    assert proc.returncode == 0, proc.stderr
+    assert "removed 0 entries, 0 blobs" in proc.stdout
+    doc = load_prov(ws, run_ids(ws)[0])
+    inputs = {d for rec in doc["tasks"] for d in rec["inputs"]["files"].values()}
+    assert inputs
+    for digest in inputs:
+        assert os.path.isfile(os.path.join(ws, "cache", "objects", digest[:2],
+                                           digest)), digest
+    assert_blobs_match_names(ws)
 
 
 def test_capabilities_text():

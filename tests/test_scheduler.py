@@ -1,5 +1,6 @@
 """Run policies, failure handling, propagation, journal effects."""
 
+import hashlib
 import json
 import os
 import sys
@@ -7,7 +8,7 @@ import threading
 
 import pytest
 
-from flowforge import runstate, scheduler
+from flowforge import cache, canon, executors, planner, runstate, scheduler
 from flowforge.cache import CacheEntry, CacheError, CacheStore
 from flowforge.model import WorkflowLoader, flatten, parse_workflow
 from flowforge.planner import Blob, Literal, build_graph, task_fingerprint
@@ -15,8 +16,8 @@ from flowforge.scheduler import (EXECUTE, Policy, Runner, SchedulerError,
                                  decide_action, generate_run_id, write_stamp)
 from flowforge.runstate import read_events
 
-from conftest import (USECASE_DIR, finished_states, load_prov, read_journal,
-                      started_tasks)
+from conftest import (USECASE_DIR, assert_blobs_match_names, finished_states,
+                      load_prov, read_journal, started_tasks)
 
 
 def graph_for(tmp_path, doc, params=None):
@@ -471,3 +472,80 @@ def test_dry_run_agrees_with_next_run(usecase_copy, tmp_path, policy, edit):
         assert planned == started
     else:
         assert planned >= started
+
+
+# -- artifact hashing and store integrity ---------------------------------------
+
+def test_each_output_byte_is_hashed_once(tmp_path, monkeypatch):
+    hashed = []
+    for mod in (canon, cache, executors, planner, scheduler):
+        real = mod.file_digest
+
+        def counting(path, *args, _real=real, **kwargs):
+            hashed.append(os.path.getsize(path))
+            return _real(path, *args, **kwargs)
+
+        monkeypatch.setattr(mod, "file_digest", counting)
+    doc = {
+        "name": "bytes",
+        "processes": [{
+            "id": "make",
+            "command": ["sh", "-c",
+                        "head -c 100000 /dev/zero > {outputs.big} && mkdir d"
+                        " && printf ab > d/a && printf cde > d/b"],
+            "outputs": {"big": {"type": "file", "path": "big.bin"},
+                        "dir": {"type": "directory", "path": "d"}}}],
+        "outputs": {"big": "make.big"},
+    }
+    result = run_once(tmp_path / "ws", graph_for(tmp_path, doc), Policy.RECOMPUTE)
+    assert result.ok
+    assert sum(hashed) == 100005
+
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    assert result.states["make"].file_digests == {
+        "big": sha(bytes(100000)),
+        "dir": sha(canon.canon_bytes({"kind": "tree", "entries": {
+            "a": sha(b"ab"), "b": sha(b"cde")}})),
+    }
+
+
+def tainting_chain(kind):
+    """`taint` appends to its staged input file, or to the one member of
+    its staged input directory: a hard link to a blob in the store."""
+    if kind == "file":
+        make, target = "echo clean > {outputs.o}", "{inputs.i}"
+    else:
+        make = "mkdir {outputs.o} && echo clean > {outputs.o}/f"
+        target = "{inputs.i}/f"
+    return {
+        "name": "taint",
+        "processes": [
+            {"id": "make", "command": ["sh", "-c", make],
+             "outputs": {"o": {"type": kind, "path": "a"}}},
+            {"id": "taint",
+             "command": ["sh", "-c", "chmod u+w %s && echo x >> %s"
+                         " && echo > {outputs.o}" % (target, target)],
+             "inputs": {"i": {"type": kind, "from": "make.o"}},
+             "outputs": {"o": {"type": "file", "path": "b.txt"}}},
+        ],
+        "outputs": {"b": "taint.o"},
+    }
+
+
+@pytest.mark.parametrize("kind", ["file", "directory"])
+def test_task_cannot_poison_the_store_through_its_input(tmp_path, kind):
+    ws = tmp_path / "ws"
+    made = ws / "a" if kind == "file" else ws / "a" / "f"
+    result = run_once(ws, graph_for(tmp_path, tainting_chain(kind)), Policy.UPDATE)
+    assert result.states["make"].state == "succeeded"
+    assert result.states["taint"].state == "failed"
+    assert "ModifiedInput(i)" in result.states["taint"].error
+    assert_blobs_match_names(str(ws))
+
+    result = run_once(ws, graph_for(tmp_path, tainting_chain(kind)), Policy.LINK)
+    assert result.states["make"].state == "succeeded"  # the entry became a miss
+    assert result.states["taint"].state == "failed"
+    assert made.read_text() == "clean\n"
+    assert_blobs_match_names(str(ws))
