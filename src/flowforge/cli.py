@@ -13,9 +13,7 @@ import sys
 
 import click
 
-from . import __version__, envprov, provenance, runstate, scheduler
-from .cache import CacheStore, GcLockError
-from .executors import ExecutorError, make_executor
+from . import __version__
 from .model import (
     WorkflowError,
     WorkflowLoader,
@@ -24,8 +22,11 @@ from .model import (
     parse_workflow,
     validate,
 )
-from .planner import PlanError, build_graph, workflow_digest
-from .scheduler import Policy, Runner
+
+# Each command imports the engine modules it runs where it runs them, so
+# that `status` or `validate` does not load the planner and the scheduler.
+# The model names above stay here: perfbench's tracer wraps them in this
+# module.
 
 PROVIDERS_NAME = os.path.join(".flowforge", "providers.json")
 
@@ -41,6 +42,9 @@ CAPABILITIES = [
     ("interfaces", 3, 3),
 ]
 POLICY_LETTERS = "R,L,U"
+# scheduler.Policy's values, spelled out so that `run --help` and option
+# parsing need not import the scheduler
+POLICIES = ("recompute", "link", "update")
 
 
 class CliError(click.ClickException):
@@ -124,7 +128,9 @@ def _parse_param_value(name: str, text: str, port_type):
     raise CliError("param %s has unsupported kind %s" % (name, kind))
 
 
-def _providers_for(workspace: str) -> envprov.ProviderRegistry:
+def _providers_for(workspace: str):
+    from . import envprov
+
     path = os.path.join(workspace, PROVIDERS_NAME)
     if os.path.isfile(path):
         try:
@@ -134,11 +140,22 @@ def _providers_for(workspace: str) -> envprov.ProviderRegistry:
     return envprov.ProviderRegistry()
 
 
+def build_graph(fw, params, **kwargs):
+    """planner.build_graph, imported on first call; a name of this
+    module so that perfbench's tracer can wrap it here."""
+    from . import planner
+
+    return planner.build_graph(fw, params, **kwargs)
+
+
 def _build_graph(fw, params, workspace):
+    from .envprov import EnvResolutionError
+    from .planner import PlanError
+
     providers = _providers_for(workspace)
     try:
         return build_graph(fw, params, workspace=workspace, providers=providers)
-    except (PlanError, envprov.EnvResolutionError) as exc:
+    except (PlanError, EnvResolutionError) as exc:
         raise CliError(str(exc)) from exc
 
 
@@ -160,6 +177,8 @@ def validate_cmd(workflow):
               help="Write DOT here instead of stdout.")
 def graph(workflow, out):
     """Export the workflow's process graph as GraphViz DOT."""
+    from . import provenance
+
     fw = _load_flat(workflow)
     dot = provenance.export_dot(fw)
     if out:
@@ -174,8 +193,8 @@ def graph(workflow, out):
 @click.argument("workflow", metavar="WORKFLOW")
 @click.option("--param", "params", multiple=True, metavar="NAME=VALUE",
               help="Set a workflow parameter; repeatable.")
-@click.option("--policy", type=click.Choice([p.value for p in Policy]),
-              default=Policy.UPDATE.value, show_default=True,
+@click.option("--policy", type=click.Choice(POLICIES),
+              default="update", show_default=True,
               help="Up-to-dateness policy.")
 @click.option("--jobs", type=click.IntRange(min=1), default=None,
               help="Concurrent task bound [default: logical CPUs].")
@@ -192,16 +211,21 @@ def graph(workflow, out):
 def run(workflow, params, policy, jobs, executor, keep_going, workdir,
         detach, dry_run):
     """Execute a workflow."""
+    from . import scheduler
+    from .planner import workflow_digest
+
     workspace = os.path.abspath(workdir)
     fw = _load_flat(workflow)
     param_values = _parse_params(fw, params)
     graph = _build_graph(fw, param_values, workspace)
-    policy = Policy(policy)
+    policy = scheduler.Policy(policy)
     jobs = jobs or os.cpu_count() or 1
 
     if dry_run:
+        from .cache import CacheStore
+
         cache = CacheStore(os.path.join(workspace, "cache"))
-        actions = Runner(workspace, cache).plan_preview(graph, policy)
+        actions = scheduler.Runner(workspace, cache).plan_preview(graph, policy)
         for tid in graph.topo_order():
             click.echo("%-10s %s" % (_ACTION_WORD[actions[tid].kind], tid))
         return
@@ -266,6 +290,9 @@ def _params_for_journal(fw, param_values, graph) -> dict:
 
 def _do_run(graph, policy, executor_name, jobs, keep_going, workspace,
             run_id, meta, echo=False) -> int:
+    from .executors import ExecutorError, make_executor
+    from .scheduler import Runner
+
     try:
         exec_backend = make_executor(executor_name, workspace)
     except ExecutorError as exc:
@@ -294,7 +321,9 @@ def _do_run(graph, policy, executor_name, jobs, keep_going, workspace,
 @click.option("--workdir", type=click.Path(file_okay=False), default=".",
               show_default=True)
 def status(run_id, workdir):
-    """Show a run's progress, live or terminal."""
+    """Show a run's progress, live, finished or crashed."""
+    from . import runstate
+
     run_dir = os.path.join(os.path.abspath(workdir), "runs", run_id)
     try:
         snapshot = runstate.status(run_dir)
@@ -340,6 +369,8 @@ def prov():
               show_default=True)
 def prov_export(run_id, fmt, workdir):
     """Print one run's provenance document (or its DOT graph)."""
+    from . import provenance, runstate
+
     runs_dir = os.path.join(os.path.abspath(workdir), "runs")
     try:
         doc = provenance.load_doc(runs_dir, run_id)
@@ -364,6 +395,8 @@ def prov_export(run_id, fmt, workdir):
               show_default=True)
 def prov_lineage(digest, workdir):
     """Upstream closure of the artifact with this sha256 digest."""
+    from . import provenance
+
     digest = digest.lower()
     if len(digest) != 64 or any(c not in "0123456789abcdef" for c in digest):
         raise CliError("%r is not a sha256 hex digest" % digest)
@@ -382,6 +415,8 @@ def cache():
               show_default=True)
 def cache_ls(workdir):
     """List cached task results."""
+    from .cache import CacheStore
+
     store = CacheStore(os.path.join(os.path.abspath(workdir), "cache"))
     count = 0
     for entry in store.entries():
@@ -402,6 +437,9 @@ def cache_ls(workdir):
 def cache_gc(keep, workdir):
     """Drop cache entries from forgotten runs, then blobs that neither a
     kept entry nor a kept run's recorded inputs reference."""
+    from . import provenance
+    from .cache import CacheStore, GcLockError
+
     workspace = os.path.abspath(workdir)
     store = CacheStore(os.path.join(workspace, "cache"))
     runs_dir = os.path.join(workspace, "runs")

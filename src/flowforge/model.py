@@ -15,8 +15,6 @@ import os
 import re
 from dataclasses import dataclass, field, replace
 
-import yaml
-
 FORMAT_VERSION = 1
 
 ID_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
@@ -251,6 +249,8 @@ def _load_document(text: str, source: str):
     try:
         return json.loads(text, parse_constant=_reject_nonfinite)
     except json.JSONDecodeError as json_err:
+        import yaml  # only here: a JSON workflow never pays for PyYAML
+
         try:
             return yaml.safe_load(text)
         except yaml.YAMLError as yaml_err:

@@ -2,10 +2,9 @@
 
 A provenance document is derived purely from the run journal, written
 once as `runs/<run-id>/provenance.json`, and never mutated afterwards.
-A small index file maps artifact digests to their producing (run, task)
-pairs so lineage queries do not have to open every document; the index
-is a cache, and queries fall back to scanning the run documents when it
-is absent or stale.
+A small index file, rewritten after each run, maps artifact digests to
+their producing (run, task) pairs. Lineage queries do not read it: they
+scan every run document.
 """
 
 from __future__ import annotations
@@ -323,9 +322,10 @@ class LineageResult:
 def lineage(runs_dir: str, digest: str) -> LineageResult:
     """Transitive upstream closure of the artifact with this digest.
 
-    Walks producing tasks via the digest index across runs, and value
-    edges via recorded input sources within a run. An unknown digest
-    yields an empty result.
+    Loads every provenance document under runs_dir to map each output
+    digest to its producing tasks, then walks file edges across runs and
+    value edges via recorded input sources within a run. An unknown
+    digest yields an empty result.
     """
     docs = {doc.run_id: doc for doc in iter_docs(runs_dir)}
     producers: dict[str, list] = {}

@@ -221,8 +221,24 @@ def _parse_ts(ts: str) -> datetime:
     return datetime.fromisoformat(ts)
 
 
+def _orphaned(pid: int | None, hostname) -> bool:
+    """True when the run started on this host and no process has its pid
+    any more. A pid taken over by a new process reads as alive."""
+    if pid is None or hostname != os.uname().nodename:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:  # alive, another user's
+        pass
+    return False
+
+
 def status(run_dir: str) -> StatusSnapshot:
-    """Snapshot of a run derived purely from its journal prefix."""
+    """Snapshot of a run derived from its journal prefix. A run without
+    run-finished whose process died on this host is terminal, in state
+    "crashed"."""
     run_dir = os.fspath(run_dir)
     path = os.path.join(run_dir, JOURNAL_NAME)
     if not os.path.isfile(path):
@@ -238,11 +254,13 @@ def status(run_dir: str) -> StatusSnapshot:
     finished: set[str] = set()
     terminal = False
     run_state = None
+    hostname = None
 
     for e in events:
         if e.kind == "run-started":
             tasks = list(e.payload.get("tasks", []))
             run_id = e.payload.get("run_id", run_id)
+            hostname = e.payload.get("hostname")
         elif e.kind == "task-started":
             started.append(e.task)
         elif e.kind == "task-finished":
@@ -257,12 +275,6 @@ def status(run_dir: str) -> StatusSnapshot:
     known = set(started) | finished
     pending = tuple(t for t in tasks if t not in known)
 
-    start_ts = _parse_ts(events[0].ts)
-    if terminal:
-        elapsed = (_parse_ts(events[-1].ts) - start_ts).total_seconds()
-    else:
-        elapsed = (datetime.now(timezone.utc) - start_ts).total_seconds()
-
     pid = None
     pid_path = os.path.join(run_dir, PID_NAME)
     if os.path.isfile(pid_path):
@@ -271,6 +283,14 @@ def status(run_dir: str) -> StatusSnapshot:
                 pid = int(fh.read().strip())
         except (OSError, ValueError):
             pid = None
+    if not terminal and _orphaned(pid, hostname):
+        terminal, run_state = True, "crashed"
+
+    start_ts = _parse_ts(events[0].ts)
+    if terminal:
+        elapsed = (_parse_ts(events[-1].ts) - start_ts).total_seconds()
+    else:
+        elapsed = (datetime.now(timezone.utc) - start_ts).total_seconds()
 
     return StatusSnapshot(run_id, len(tasks), counts, running, pending,
                           terminal, run_state, max(elapsed, 0.0),

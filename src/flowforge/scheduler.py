@@ -344,7 +344,13 @@ class Runner:
                         finish(tid, _settled_result(action),
                                {"state": "skipped-up-to-date", "fingerprint": fp})
                     else:
-                        self._link_outputs(resolved, action.entry)
+                        try:
+                            self._link_outputs(resolved, action.entry)
+                        except CacheError as exc:
+                            log.warning("task %s cannot be linked, executing "
+                                        "it instead: %s", tid, exc)
+                            heapq.heappush(runnable, (tid, resolved, fp))
+                            continue
                         linked = _settled_result(action)
                         finish(tid, linked, self._finish_payload(resolved, linked))
 

@@ -1,12 +1,13 @@
 """Command-line surface: exit codes, output shapes, subcommands."""
 
+import hashlib
 import json
 import os
 
 import pytest
 
 from conftest import (NEGATIVE_DIR, USECASE_DIR, assert_blobs_match_names,
-                      cli, load_prov, run_ids)
+                      cli, load_prov, read_journal, run_ids, started_tasks)
 
 WF = os.path.join(USECASE_DIR, "usecase.wf")
 
@@ -165,6 +166,41 @@ def test_cache_gc_keeps_recorded_inputs_of_kept_runs(ws):
     for digest in inputs:
         assert os.path.isfile(os.path.join(ws, "cache", "objects", digest[:2],
                                            digest)), digest
+    assert_blobs_match_names(ws)
+
+
+def test_link_run_executes_a_task_whose_tree_member_is_gone(ws, tmp_path):
+    doc = {
+        "name": "tree",
+        "processes": [
+            {"id": "tree", "command": [
+                "sh", "-c", "mkdir {outputs.o} && echo 1 > {outputs.o}/a"
+                            " && echo 2 > {outputs.o}/b"],
+             "outputs": {"o": {"type": "directory", "path": "d"}}},
+            {"id": "cat", "command": ["sh", "-c",
+                                      "cat {inputs.d}/a {inputs.d}/b > {outputs.o}"],
+             "inputs": {"d": {"type": "directory", "from": "tree.o"}},
+             "outputs": {"o": {"type": "file", "path": "cat.txt"}}},
+            {"id": "other", "command": ["sh", "-c", "echo x > {outputs.o}"],
+             "outputs": {"o": {"type": "file", "path": "other.txt"}}},
+        ],
+        "outputs": {"o": "cat.o"},
+    }
+    wf = tmp_path / "tree.wf"
+    wf.write_text(json.dumps(doc))
+    assert cli("run", wf, "--workdir", ws, "--policy", "recompute").returncode == 0
+    (first,) = run_ids(ws)
+    member = hashlib.sha256(b"2\n").hexdigest()
+    os.unlink(os.path.join(ws, "cache", "objects", member[:2], member))
+
+    proc = cli("run", wf, "--workdir", ws, "--policy", "link")
+    assert proc.returncode == 0, proc.stderr
+    assert "finished: cached 2, succeeded 1" in proc.stdout
+    (link_run,) = set(run_ids(ws)) - {first}
+    assert started_tasks(read_journal(ws, link_run)) == ["tree"]
+    assert sorted(os.listdir(os.path.join(ws, "d"))) == ["a", "b"]
+    with open(os.path.join(ws, "d", "b")) as fh:
+        assert fh.read() == "2\n"
     assert_blobs_match_names(ws)
 
 

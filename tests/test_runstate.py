@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -128,3 +130,42 @@ def test_status_terminal(tmp_path):
 def test_status_missing_run(tmp_path):
     with pytest.raises(NoRunError):
         status(str(tmp_path / "nope"))
+
+
+def reaped_pid() -> int:
+    """The pid of a child that has exited and been reaped: no process
+    has it now."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+def orphan_candidate(tmp_path, hostname, pid):
+    """A run that started on `hostname` as process `pid` and never
+    journaled run-finished."""
+    run_dir = make_run(tmp_path, [
+        ("run-started", None, {"run_id": "r1", "tasks": ["a", "b"],
+                               "hostname": hostname}),
+        ("task-started", "a", {}),
+    ])
+    with open(os.path.join(run_dir, "pid"), "w") as fh:
+        fh.write("%d\n" % pid)
+    return run_dir
+
+
+def test_status_reports_crashed_when_the_run_process_is_gone(tmp_path):
+    snap = status(orphan_candidate(tmp_path, os.uname().nodename, reaped_pid()))
+    assert snap.terminal and snap.run_state == "crashed"
+    assert snap.render().startswith("run r1: crashed\n")
+    assert "running tasks: a" in snap.render()
+
+
+@pytest.mark.parametrize("where", ["live here", "dead elsewhere"])
+def test_status_keeps_a_live_or_foreign_run_in_progress(tmp_path, where):
+    if where == "live here":
+        run_dir = orphan_candidate(tmp_path, os.uname().nodename, os.getpid())
+    else:
+        run_dir = orphan_candidate(tmp_path, "elsewhere", reaped_pid())
+    snap = status(run_dir)
+    assert not snap.terminal
+    assert snap.render().startswith("run r1: in progress\n")
