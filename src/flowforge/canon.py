@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import stat
 from typing import Union
 
 Value = Union[None, bool, int, float, str, list, tuple, dict]
@@ -53,22 +54,26 @@ def file_digest(path, out=None) -> str:
     return h.hexdigest()
 
 
-def tree_manifest(root, member=None) -> dict:
-    """Canonical manifest of a directory: every regular file, recursively,
-    keyed by /-separated relative path and named by `member(path)`
-    (file_digest by default). Symlinks and empty dirs are not
-    represented."""
-    member = member or file_digest
-    entries = {}
+def regular_files(root):
+    """(relpath, path) for every regular file under `root`, recursively,
+    with names sorted at each level and relpaths /-separated. Symlinks
+    and empty dirs are skipped: this is the one definition of what a
+    directory artifact holds."""
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()
         for name in sorted(filenames):
             full = os.path.join(dirpath, name)
-            if os.path.islink(full) or not os.path.isfile(full):
-                continue
-            rel = os.path.relpath(full, root).replace(os.sep, "/")
-            entries[rel] = member(full)
-    return {"kind": "tree", "entries": entries}
+            if stat.S_ISREG(os.lstat(full).st_mode):
+                yield os.path.relpath(full, root).replace(os.sep, "/"), full
+
+
+def tree_manifest(root, member=None) -> dict:
+    """Canonical manifest of a directory: each of its regular_files,
+    keyed by relpath and named by `member(path)` (file_digest by
+    default)."""
+    member = member or file_digest
+    return {"kind": "tree",
+            "entries": {rel: member(full) for rel, full in regular_files(root)}}
 
 
 def tree_digest(root) -> str:

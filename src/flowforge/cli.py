@@ -18,8 +18,7 @@ from .model import (
     WorkflowError,
     WorkflowLoader,
     check_value,
-    flatten,
-    parse_workflow,
+    flatten,  # noqa: F401  (validate flattens; perfbench's tracer wraps this name)
     validate,
 )
 
@@ -60,7 +59,8 @@ def main():
 
 
 def _load_flat(wf_path: str):
-    """Parse + flatten + validate, turning every defect into exit 2."""
+    """Parse + validate, which flattens once, turning every defect into
+    exit 2."""
     wf_path = os.path.abspath(wf_path)
     if not os.path.isfile(wf_path):
         raise CliError("no workflow file at %s" % wf_path)
@@ -72,11 +72,7 @@ def _load_flat(wf_path: str):
     report = validate(wf, base_dir, loader, wf_path)
     if not report.ok:
         raise CliError("workflow invalid:\n" + report.render())
-    try:
-        fw = flatten(wf, loader, base_dir, wf_path)
-    except WorkflowError as exc:
-        raise CliError(str(exc)) from exc
-    return fw
+    return report.flat
 
 
 def _parse_params(fw, pairs) -> dict:
@@ -226,8 +222,8 @@ def run(workflow, params, policy, jobs, executor, keep_going, workdir,
 
         cache = CacheStore(os.path.join(workspace, "cache"))
         actions = scheduler.Runner(workspace, cache).plan_preview(graph, policy)
-        for tid in graph.topo_order():
-            click.echo("%-10s %s" % (_ACTION_WORD[actions[tid].kind], tid))
+        for tid, action in actions.items():
+            click.echo("%-10s %s" % (action.kind, tid))
         return
 
     meta = {
@@ -258,9 +254,6 @@ def run(workflow, params, policy, jobs, executor, keep_going, workdir,
                    None, meta, echo=True)
     if code:
         sys.exit(code)
-
-
-_ACTION_WORD = {"execute": "execute", "link": "link", "skip": "skip"}
 
 
 def _params_for_journal(fw, param_values, graph) -> dict:

@@ -50,7 +50,6 @@ class TaskSpec:
     outputs: tuple[OutputSpec, ...]
     wrapper: tuple[str, ...] = ()
     resources: dict | None = None
-    manifest_name: str = MANIFEST_NAME
 
     @property
     def full_argv(self) -> list[str]:
@@ -104,10 +103,10 @@ def collect_outcome(spec: TaskSpec, exit_code: int, error: str | None = None) ->
 
     value_ports = spec.value_ports
     if value_ports:
-        manifest_path = os.path.join(spec.workdir, spec.manifest_name)
+        manifest_path = os.path.join(spec.workdir, MANIFEST_NAME)
         if not os.path.isfile(manifest_path):
             outcome.error = "MissingOutput(%s): no %s manifest" % (
-                value_ports[0].port, spec.manifest_name)
+                value_ports[0].port, MANIFEST_NAME)
             return outcome
         try:
             with open(manifest_path, encoding="utf-8") as fh:
@@ -161,5 +160,5 @@ def make_executor(spec: str, workspace: str):
                 "unknown remote transport %r (loopback is the only bundled one)"
                 % name)
         root = os.path.join(workspace, ".flowforge", "remote")
-        return RemoteExecutor(LoopbackTransport(root), name="remote:loopback")
+        return RemoteExecutor(LoopbackTransport(root))
     raise ExecutorError("unknown executor %r" % spec)

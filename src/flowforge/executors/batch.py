@@ -12,6 +12,7 @@ tests, never by submission.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import shlex
@@ -26,6 +27,8 @@ from dataclasses import dataclass
 from . import Outcome, STDERR_NAME, STDOUT_NAME, TaskSpec, collect_outcome
 
 DEFAULT_RESOURCES = {"cpus": 1, "memory": "1024M", "walltime": "00:10:00"}
+RUNNER_CONCURRENCY = 8  # jobs BatchExecutor's in-process runner runs at once
+POLL_INTERVAL = 0.02  # seconds between spool scans and job-state polls
 
 # The mock template is a plain shell script; {script} carries the body.
 MOCK_TEMPLATE = """#!/bin/sh
@@ -119,7 +122,7 @@ def _write_state(path: str, value: str):
 
 def run_spool(spool_dir: str, concurrency: int = 1, drain: bool = False,
               stop_event: threading.Event | None = None,
-              poll_interval: float = 0.02):
+              poll_interval: float = POLL_INTERVAL):
     """Execute spooled scripts FIFO with at most `concurrency` at once.
 
     With drain=True returns once the spool is empty and all claimed
@@ -189,7 +192,7 @@ def simbatch_main(argv=None) -> int:
     parser.add_argument("--concurrency", type=int, default=1)
     parser.add_argument("--drain", action="store_true",
                         help="exit when the spool is empty")
-    parser.add_argument("--interval", type=float, default=0.02)
+    parser.add_argument("--interval", type=float, default=POLL_INTERVAL)
     args = parser.parse_args(argv)
     run_spool(args.spool, args.concurrency, drain=args.drain,
               poll_interval=args.interval)
@@ -199,28 +202,21 @@ def simbatch_main(argv=None) -> int:
 class BatchExecutor:
     """Executes TaskSpecs by spooling job scripts and polling their state.
 
-    autostart runs an in-process simbatch loop in a daemon thread so a
-    single command covers the whole submit/run/poll cycle; pass
-    autostart=False when an external `simbatch` process owns the spool.
+    An in-process simbatch loop runs in a daemon thread, so a single
+    command covers the whole submit/run/poll cycle. A finished job's
+    script and state file leave the spool once read, so the loop scans
+    only live jobs.
     """
 
     name = "batch:mock"
 
-    def __init__(self, spool_dir: str, template: str | None = None,
-                 autostart: bool = True, runner_concurrency: int = 8,
-                 poll_interval: float = 0.02):
+    def __init__(self, spool_dir: str):
         self.backend = MockBatchBackend(spool_dir)
-        self.template = template or MOCK_TEMPLATE
-        self.poll_interval = poll_interval
         self._stop = threading.Event()
-        self._runner = None
-        if autostart:
-            self._runner = threading.Thread(
-                target=run_spool,
-                args=(spool_dir, runner_concurrency),
-                kwargs={"stop_event": self._stop, "poll_interval": poll_interval},
-                daemon=True)
-            self._runner.start()
+        self._runner = threading.Thread(
+            target=run_spool, args=(spool_dir, RUNNER_CONCURRENCY),
+            kwargs={"stop_event": self._stop}, daemon=True)
+        self._runner.start()
 
     def close(self):
         self._stop.set()
@@ -239,16 +235,19 @@ class BatchExecutor:
             shlex.quote(spec.workdir),
             " ".join(shlex.quote(tok) for tok in spec.full_argv),
             shlex.quote(STDOUT_NAME), shlex.quote(STDERR_NAME))
-        script = render_job_script(self.template, body, spec.task_id, spec.resources)
+        script = render_job_script(MOCK_TEMPLATE, body, spec.task_id, spec.resources)
         job_id = self.backend.submit(script)
         while True:
             state = self.backend.poll(job_id)
             if state.phase == "done":
+                for path in self.backend._paths(job_id):
+                    with contextlib.suppress(FileNotFoundError):  # cancel() took it
+                        os.unlink(path)
                 return collect_outcome(spec, state.exit_code)
             if state.phase == "lost":
                 return collect_outcome(
                     spec, -1, error="batch job %s lost" % job_id)
-            time.sleep(self.poll_interval)
+            time.sleep(POLL_INTERVAL)
 
 
 if __name__ == "__main__":

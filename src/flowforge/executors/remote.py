@@ -16,9 +16,12 @@ import posixpath
 import shutil
 import subprocess
 
-from . import Outcome, STDERR_NAME, STDOUT_NAME, TaskSpec, collect_outcome
+from ..canon import regular_files
+from . import (MANIFEST_NAME, Outcome, STDERR_NAME, STDOUT_NAME, TaskSpec,
+               collect_outcome)
 
 TRANSFER_LOG = "transfer.json"
+REMOTE_BASE = "jobs"  # task workdirs live at <transport root>/jobs/<task id>
 
 
 class TransportError(Exception):
@@ -56,21 +59,17 @@ class LoopbackTransport:
         return True
 
     def pull_tree(self, remote_rel: str, local: str) -> list[str] | None:
-        """Retrieve a directory; returns the member relpaths, or None if
-        the directory does not exist remotely."""
+        """Retrieve a directory's regular files; returns their relpaths,
+        or None if the directory does not exist remotely."""
         src = self._resolve(remote_rel)
         if not os.path.isdir(src):
             return None
         members = []
-        for dirpath, dirnames, filenames in os.walk(src):
-            dirnames.sort()
-            for name in sorted(filenames):
-                full = os.path.join(dirpath, name)
-                rel = os.path.relpath(full, src)
-                dest = os.path.join(local, rel)
-                os.makedirs(os.path.dirname(dest), exist_ok=True)
-                shutil.copyfile(full, dest)
-                members.append(rel.replace(os.sep, "/"))
+        for rel, full in regular_files(src):
+            dest = os.path.join(local, rel.replace("/", os.sep))
+            os.makedirs(os.path.dirname(dest), exist_ok=True)
+            shutil.copyfile(full, dest)
+            members.append(rel)
         os.makedirs(local, exist_ok=True)
         return members
 
@@ -100,13 +99,12 @@ class RemoteExecutor:
     surfaces as MissingOutput; nothing partial is ever cached.
     """
 
-    def __init__(self, transport, base: str = "jobs", name: str = "remote"):
+    def __init__(self, transport):
         self.transport = transport
-        self.base = base
-        self.name = name
+        self.name = "remote:" + transport.name
 
     def execute(self, spec: TaskSpec) -> Outcome:
-        remote_dir = posixpath.join(self.base, spec.task_id)
+        remote_dir = posixpath.join(REMOTE_BASE, spec.task_id)
         staged_in: list[str] = []
         staged_out: list[str] = []
 
@@ -114,15 +112,10 @@ class RemoteExecutor:
             for staged in spec.inputs:
                 local = os.path.join(spec.workdir, staged.path.replace("/", os.sep))
                 if staged.tree:
-                    for dirpath, dirnames, filenames in os.walk(local):
-                        dirnames.sort()
-                        for fname in sorted(filenames):
-                            full = os.path.join(dirpath, fname)
-                            rel = posixpath.join(
-                                staged.path,
-                                os.path.relpath(full, local).replace(os.sep, "/"))
-                            self.transport.push(full, posixpath.join(remote_dir, rel))
-                            staged_in.append(rel)
+                    for member, full in regular_files(local):
+                        rel = posixpath.join(staged.path, member)
+                        self.transport.push(full, posixpath.join(remote_dir, rel))
+                        staged_in.append(rel)
                 else:
                     self.transport.push(local, posixpath.join(remote_dir, staged.path))
                     staged_in.append(staged.path)
@@ -147,9 +140,9 @@ class RemoteExecutor:
 
             if spec.value_ports:
                 if self.transport.pull(
-                        posixpath.join(remote_dir, spec.manifest_name),
-                        os.path.join(spec.workdir, spec.manifest_name)):
-                    staged_out.append(spec.manifest_name)
+                        posixpath.join(remote_dir, MANIFEST_NAME),
+                        os.path.join(spec.workdir, MANIFEST_NAME)):
+                    staged_out.append(MANIFEST_NAME)
 
             # Log retrieval: diagnostics, not data transfer.
             self.transport.pull(posixpath.join(remote_dir, STDOUT_NAME),

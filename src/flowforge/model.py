@@ -757,6 +757,7 @@ class Finding:
 @dataclass
 class ValidationReport:
     findings: list[Finding] = field(default_factory=list)
+    flat: FlatWorkflow | None = None  # the workflow checked, once flattened
 
     @property
     def ok(self) -> bool:
@@ -822,7 +823,8 @@ def validate(wf: WorkflowDef, base_dir: str | None = None,
     Success means every reference resolves, the graph is acyclic, all
     connections typecheck, and referenced recipe/subworkflow files
     exist. Structural problems inside subworkflows surface as findings
-    rather than exceptions.
+    rather than exceptions. The report carries the flat workflow it
+    checked, unless flattening failed.
     """
     report = ValidationReport()
     try:
@@ -835,8 +837,8 @@ def validate(wf: WorkflowDef, base_dir: str | None = None,
     except ParseError as exc:
         report.add("parse-error", str(exc))
         return report
-
-    ids = {p.id for p in flat.processes}
+    report.flat = flat
+    procs = {p.id: p for p in flat.processes}
 
     def check_ref(ref, consumer_type, where):
         pname = param_ref(ref)
@@ -851,7 +853,7 @@ def validate(wf: WorkflowDef, base_dir: str | None = None,
                            % (pname, decl.type.render(), consumer_type.render()), where)
             return
         head, port = split_ref(ref)
-        producer = next((p for p in flat.processes if p.id == head), None)
+        producer = procs.get(head)
         if producer is None:
             report.add("unresolved-ref", "unknown process %r in %r" % (head, ref), where)
             return
@@ -878,7 +880,7 @@ def validate(wf: WorkflowDef, base_dir: str | None = None,
 
     for name, ref in flat.outputs.items():
         head, port = split_ref(ref)
-        if head == "params" or head not in ids:
+        if head == "params" or head not in procs:
             report.add("unresolved-ref",
                        "workflow output %r references unknown process %r" % (name, head))
         else:

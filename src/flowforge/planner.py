@@ -1,4 +1,4 @@
-"""Task graph construction, connection type checking, task fingerprints.
+"""Task graph construction and task fingerprints.
 
 Everything here is a pure function over immutable inputs. Fingerprints
 are SHA-256 digests over the canonical encoding documented in
@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import heapq
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .canon import canon_digest, file_digest, tree_digest
-from .envprov import ProviderRegistry, ResolvedEnv, resolve_env
+from .envprov import ProviderRegistry, resolve_env
 from .model import (
     ENV_NONE,
     EnvSpec,
@@ -26,7 +26,6 @@ from .model import (
     render_value_text,
     param_ref,
     split_ref,
-    types_compatible,
 )
 
 TASK_SCHEMA = "flowforge-task-v1"
@@ -248,60 +247,6 @@ def build_graph(fw: FlatWorkflow, param_values: dict | None,
         sinks[name] = (head, port)
 
     return TaskGraph(tasks, tuple(sorted(set(edges))), sinks)
-
-
-# ---------------------------------------------------------------------------
-# type checking
-
-@dataclass
-class TypeFinding:
-    producer: str
-    consumer: str
-    producer_type: str
-    consumer_type: str
-
-    def __str__(self):
-        return "%s (%s) cannot feed %s (%s)" % (
-            self.producer, self.producer_type, self.consumer, self.consumer_type)
-
-
-@dataclass
-class TypeReport:
-    findings: list[TypeFinding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def typecheck(fw: FlatWorkflow) -> TypeReport:
-    """Check every resolvable connection: producer type must equal the
-    consumer type under the kind/element/format rules. Unresolvable
-    references are validate()'s business and are skipped here."""
-    report = TypeReport()
-    procs = {p.id: p for p in fw.processes}
-    for proc in fw.processes:
-        for port, decl in proc.inputs.items():
-            pname = param_ref(decl.source)
-            if pname is not None:
-                pdecl = fw.params.get(pname)
-                if pdecl and not types_compatible(pdecl.type, decl.type):
-                    report.findings.append(TypeFinding(
-                        "params.%s" % pname, "%s.%s" % (proc.id, port),
-                        pdecl.type.render(), decl.type.render()))
-                continue
-            head, ref_port = split_ref(decl.source)
-            producer = procs.get(head)
-            if producer is None:
-                continue
-            out = producer.outputs.get(ref_port)
-            if out is None:
-                continue
-            if not types_compatible(out.type, decl.type):
-                report.findings.append(TypeFinding(
-                    decl.source, "%s.%s" % (proc.id, port),
-                    out.type.render(), decl.type.render()))
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ scan every run document.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
+import threading
 from dataclasses import dataclass, field
 
 from .model import FlatWorkflow, ProcessDef
@@ -221,13 +223,25 @@ def doc_path(runs_dir: str, run_id: str) -> str:
     return os.path.join(runs_dir, run_id, PROV_NAME)
 
 
+def write_json(path: str, data, indent=None):
+    """Replace `path` with `data` as one JSON line, or indented, by
+    atomic rename. The temp file is named for this process and thread,
+    so concurrent writers of one path never share it, and is created
+    with the mode a plain open() gives."""
+    tmp = "%s.%d-%d.tmp" % (path, os.getpid(), threading.get_ident())
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=indent)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_doc(run_dir: str, doc: ProvenanceDoc):
-    path = os.path.join(run_dir, PROV_NAME)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc.to_data(), fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_json(os.path.join(run_dir, PROV_NAME), doc.to_data(), indent=2)
 
 
 def load_doc(runs_dir: str, run_id: str) -> ProvenanceDoc:
@@ -262,12 +276,8 @@ def update_index(runs_dir: str, doc: ProvenanceDoc):
             _fold_into_index(index, existing)
     else:
         _fold_into_index(index, doc)
-    path = os.path.join(runs_dir, INDEX_NAME)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"schema": PROV_SCHEMA, "artifacts": index}, fh)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_json(os.path.join(runs_dir, INDEX_NAME),
+               {"schema": PROV_SCHEMA, "artifacts": index})
 
 
 def _read_index(runs_dir: str) -> dict | None:
@@ -327,10 +337,11 @@ def lineage(runs_dir: str, digest: str) -> LineageResult:
     value edges via recorded input sources within a run. An unknown
     digest yields an empty result.
     """
-    docs = {doc.run_id: doc for doc in iter_docs(runs_dir)}
+    records: dict[tuple, TaskProvRecord] = {}
     producers: dict[str, list] = {}
-    for doc in docs.values():
+    for doc in iter_docs(runs_dir):
         for rec in doc.records:
+            records.setdefault((doc.run_id, rec.task), rec)
             for out_digest in rec.output_files.values():
                 producers.setdefault(out_digest, []).append((doc.run_id, rec.task))
 
@@ -355,7 +366,7 @@ def lineage(runs_dir: str, digest: str) -> LineageResult:
             if (run_id, task_id) in tasks:
                 continue
             tasks.add((run_id, task_id))
-            rec = docs[run_id].record_for(task_id)
+            rec = records.get((run_id, task_id))
             if rec is None:
                 continue
             for d in rec.input_files.values():

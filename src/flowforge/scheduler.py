@@ -47,7 +47,7 @@ from enum import Enum
 
 from . import provenance, runstate
 from .cache import CacheEntry, CacheError, CacheStore, link_file
-from .canon import file_digest
+from .canon import file_digest, regular_files
 from .executors import OutputSpec, StagedInput, TaskSpec
 from .executors.local import LocalExecutor
 from .model import env_to_data
@@ -156,11 +156,8 @@ def write_stamp(workspace: str, task_id: str, fingerprint: str,
                 files: dict, values: dict):
     path = stamp_path(workspace, task_id)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"fingerprint": fingerprint, "files": files, "values": values}, fh)
-        fh.write("\n")
-    os.replace(tmp, path)
+    provenance.write_json(
+        path, {"fingerprint": fingerprint, "files": files, "values": values})
 
 
 def _outputs_present(task: TaskInstance, workspace: str) -> bool:
@@ -535,7 +532,7 @@ class Runner:
                               fingerprint=fp, error=rewritten or outcome.error)
         values = dict(outcome.value_outputs)
         try:
-            files = self._publish_outputs(task, outcome, workdir)
+            files = self._publish_outputs(task, workdir)
             write_stamp(self.workspace, task.id, fp, files, values)
             self.cache.put_entry(CacheEntry(
                 fp, os.path.basename(run_dir), files, values))
@@ -569,8 +566,7 @@ class Runner:
                     port, os.path.basename(path))
         return None
 
-    def _publish_outputs(self, task: TaskInstance, outcome,
-                         workdir: str) -> dict[str, str]:
+    def _publish_outputs(self, task: TaskInstance, workdir: str) -> dict[str, str]:
         """Ingest declared outputs into the cache, then hard-link the
         produced files to their workspace paths, so that a task that
         rewrites its staged input, a link into the store, cannot reach
@@ -653,11 +649,8 @@ def _staged_files(workdir: str, staged) -> dict[str, tuple]:
     files = {}
     for item in staged:
         root = os.path.join(workdir, item.path.replace("/", os.sep))
-        paths = [os.path.join(d, name) for d, _, names in os.walk(root)
-                 for name in names] if item.tree else [root]
-        for path in paths:
-            member = os.path.relpath(path, root).replace(os.sep, "/") \
-                if item.tree else None
+        members = regular_files(root) if item.tree else [(None, root)]
+        for member, path in members:
             files[path] = (item.port, member, os.stat(path))
     return files
 

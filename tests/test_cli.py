@@ -48,6 +48,28 @@ def test_deep_chain_validates_and_plans(tmp_path):
     assert plan == [["execute", "c%04d" % i] for i in range(n)]
 
 
+@pytest.mark.parametrize("args", [
+    ["validate"], ["graph"], ["run", "--dry-run", "--workdir", "{ws}"]])
+def test_each_command_flattens_the_workflow_once(monkeypatch, tmp_path, args):
+    from click.testing import CliRunner
+
+    from flowforge import cli as cli_module, model
+
+    calls = []
+    real = model.flatten
+
+    def counting(*a, **kw):
+        calls.append(a)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(model, "flatten", counting)
+    monkeypatch.setattr(cli_module, "flatten", counting)
+    argv = [args[0], WF] + [a.format(ws=tmp_path / "ws") for a in args[1:]]
+    result = CliRunner().invoke(cli_module.main, argv)
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
 def test_missing_file_exits_2(tmp_path):
     proc = cli("validate", str(tmp_path / "absent.wf"))
     assert proc.returncode == 2

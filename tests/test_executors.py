@@ -13,7 +13,9 @@ from flowforge.executors.batch import (MOCK_TEMPLATE, BatchExecutor,
                                        MockBatchBackend, render_job_script,
                                        run_spool)
 from flowforge.executors.local import LocalExecutor
-from flowforge.model import parse_type
+from flowforge.model import WorkflowLoader, flatten, parse_type, parse_workflow
+from flowforge.planner import build_graph
+from flowforge.scheduler import Policy, Runner
 
 
 def spec_for(workdir, argv, outputs=(), inputs=()):
@@ -186,6 +188,16 @@ def test_batch_executor_reports_failure(tmp_path):
     assert outcome.exit_code == 9 and not outcome.success
 
 
+def test_batch_executor_leaves_no_job_files(tmp_path):
+    spool = tmp_path / "spool"
+    with BatchExecutor(str(spool)) as executor:
+        for n in range(2):
+            outcome = executor.execute(
+                spec_for(tmp_path / ("w%d" % n), ["sh", "-c", "exit %d" % n]))
+            assert outcome.exit_code == n
+    assert os.listdir(spool) == []
+
+
 # -- remote loopback ---------------------------------------------------------------
 
 def remote_pair(tmp_path):
@@ -266,3 +278,36 @@ def test_make_executor_names():
         make_executor("batch:slurm", ".")
     with pytest.raises(ExecutorError):
         make_executor("teleport", ".")
+
+
+def test_symlink_in_a_directory_output_is_no_member_on_any_executor(tmp_path):
+    """docs/canonical-encoding.md: symlinks are not tree members. Every
+    executor records the same members and digest, and stages the same
+    tree into the consumer."""
+    doc = {"name": "links", "processes": [
+        {"id": "make",
+         "command": ["sh", "-c", "mkdir {outputs.d} && echo a > {outputs.d}/a"
+                     " && ln -s a {outputs.d}/b"],
+         "outputs": {"d": {"type": "directory", "path": "d"}}},
+        {"id": "list", "command": ["sh", "-c", "ls {inputs.d} > {outputs.o}"],
+         "inputs": {"d": {"type": "directory", "from": "make.d"}},
+         "outputs": {"o": {"type": "file", "path": "list.txt"}}}]}
+    flat = flatten(parse_workflow(json.dumps(doc)), WorkflowLoader(),
+                   str(tmp_path))
+    seen = {}
+    for name in ("local", "batch:mock", "remote:loopback"):
+        ws = str(tmp_path / name.replace(":", "-"))
+        os.makedirs(ws)
+        executor = make_executor(name, ws)
+        try:
+            result = Runner(ws, executor=executor).run(
+                build_graph(flat, {}), Policy.RECOMPUTE)
+        finally:
+            getattr(executor, "close", lambda: None)()
+        assert result.ok, result.states
+        with open(os.path.join(ws, "list.txt")) as fh:
+            listing = fh.read()
+        seen[name] = (result.states["make"].file_digests["d"],
+                      sorted(os.listdir(os.path.join(ws, "d"))), listing)
+    assert seen["local"][1:] == (["a"], "a\n")
+    assert seen["local"] == seen["batch:mock"] == seen["remote:loopback"]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -376,6 +377,22 @@ def test_validate_deep_chain():
     assert find_cycle(wired(edges, nodes)) is None
     assert find_cycle(wired(edges | {(nodes[-1], nodes[0])}, nodes)) == \
         nodes + [nodes[0]]
+
+
+def test_validate_is_linear_in_chain_length():
+    n = 20000
+    procs = [{"id": "c%05d" % i, "command": ["true"],
+              "inputs": {"x": {"type": "file", "from": "c%05d.o" % (i - 1)}},
+              "outputs": {"o": {"type": "file", "path": "c%05d.txt" % i}}}
+             for i in range(n)]
+    del procs[0]["inputs"]
+    wf = parse_workflow(json.dumps({"name": "chain", "processes": procs}))
+    started = time.perf_counter()
+    report = validate(wf)
+    elapsed = time.perf_counter() - started
+    assert report.ok and len(report.flat.processes) == n
+    # 0.6 s on 2 CPUs; a linear scan per reference took 11 s there
+    assert elapsed < 3.0, elapsed
 
 
 def test_validate_dangling_ref():

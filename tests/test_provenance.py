@@ -2,6 +2,8 @@
 
 import json
 import os
+import threading
+import time
 
 import pytest
 
@@ -10,6 +12,7 @@ from flowforge.provenance import (ProvenanceDoc, TaskProvRecord, export_dot,
                                   lineage, load_doc, record, update_index,
                                   write_doc)
 from flowforge.runstate import RunEvent
+from flowforge.scheduler import read_stamp, stamp_path, write_stamp
 
 from conftest import USECASE_DIR
 from dot_checker import DotError, parse_dot
@@ -287,3 +290,81 @@ digraph flow {
 def test_checker_rejects_malformed(bad):
     with pytest.raises(DotError):
         parse_dot(bad)
+
+
+# -- atomic writes ---------------------------------------------------------------
+
+def stamp_writer(root):
+    return (lambda: write_stamp(str(root), "t", "f" * 64, {}, {}),
+            stamp_path(str(root), "t"))
+
+
+def doc_writer(root):
+    root.mkdir()
+    return (lambda: write_doc(str(root), ProvenanceDoc("r1")),
+            str(root / "provenance.json"))
+
+
+def index_writer(root):
+    root.mkdir()
+    return (lambda: update_index(str(root), ProvenanceDoc("r1")),
+            str(root / "index.json"))
+
+
+@pytest.mark.parametrize("writer", [stamp_writer, doc_writer, index_writer])
+def test_concurrent_writers_of_one_file_use_their_own_temp_files(
+        tmp_path, monkeypatch, writer):
+    """A second thread writes the same file while the first has written
+    its temp file but not yet renamed it into place."""
+    write, target = writer(tmp_path / "root")
+    real_replace = os.replace
+    errors, others = [], []
+
+    def second_writer():
+        try:
+            write()
+        except Exception as exc:
+            errors.append(exc)
+
+    def replace(src, dst):
+        if os.fspath(dst) == target and not others:
+            others.append(threading.Thread(target=second_writer))
+            others[0].start()
+            others[0].join(timeout=30)
+            assert not others[0].is_alive()
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    write()
+    assert others and not errors
+    assert os.listdir(os.path.dirname(target)) == [os.path.basename(target)]
+    with open(target, encoding="utf-8") as fh:
+        json.load(fh)
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    assert os.stat(target).st_mode == os.stat(plain).st_mode
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
+    write_stamp(str(tmp_path), "t", "a" * 64, {}, {})
+    with pytest.raises(TypeError):
+        write_stamp(str(tmp_path), "t", "b" * 64, {}, {"v": object()})
+    assert read_stamp(str(tmp_path), "t")["fingerprint"] == "a" * 64
+    assert os.listdir(tmp_path / ".flowforge" / "stamps") == ["t"]
+
+
+def test_lineage_is_linear_in_chain_length(tmp_path):
+    n = 20000
+    digests = ["%064x" % i for i in range(n + 1)]
+    doc = ProvenanceDoc("r-long", records=[
+        TaskProvRecord("t%d" % i, "Execute",
+                       input_files={"x": digests[i]} if i else {},
+                       output_files={"o": digests[i + 1]})
+        for i in range(n)])
+    store_doc(tmp_path / "runs", doc)
+    started = time.perf_counter()
+    result = lineage(str(tmp_path / "runs"), digests[n])
+    elapsed = time.perf_counter() - started
+    assert len(result.tasks) == n
+    # 0.7 s on 2 CPUs; a linear scan per visited task took 10 s there
+    assert elapsed < 3.0, elapsed

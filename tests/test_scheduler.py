@@ -326,11 +326,11 @@ def test_publish_failure_on_worker_fails_the_task(tmp_path, monkeypatch, error):
     publishers = []
     real = Runner._publish_outputs
 
-    def failing(self, task, outcome, workdir):
+    def failing(self, task, workdir):
         publishers.append(threading.current_thread())
         if task.id == "a1":
             raise error("disk trouble")
-        return real(self, task, outcome, workdir)
+        return real(self, task, workdir)
 
     monkeypatch.setattr(Runner, "_publish_outputs", failing)
     ws = tmp_path / "ws"
