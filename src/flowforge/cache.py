@@ -7,23 +7,30 @@ Layout:
 put_blob is the one place that reads an artifact into the store. It
 hashes a file while copying it into a temp file, then installs the copy
 by atomic rename under the digest of the bytes copied, so a blob's name
-is its content's hash even if the source changes meanwhile, and
-concurrent writers are safe. Stored blobs are made read-only because
-task sandboxes and linked workspaces hard-link them. Directory outputs
-are stored as a tree-manifest blob (canonical bytes, own digest) plus
-one blob per member file. gc keeps the entries of kept runs, the inputs
-those runs recorded and every blob either references; it takes an
-exclusive lock file and refuses to run when it is already held.
+is its content's hash even if the source changes meanwhile. Temp files
+are named for their writer (process, thread and call), so concurrent
+writers never share one. A blob's temp file is created read-only:
+stored blobs are read-only because task sandboxes and linked workspaces
+hard-link them. A blob already stored is never rewritten, so those
+links keep sharing its one inode. Directories are made on the first
+write that misses them, not checked before each write. Directory
+outputs are stored as a tree-manifest blob (canonical bytes, own
+digest) plus one blob per member file. gc keeps the entries of kept
+runs, the inputs those runs recorded and every blob either references;
+it takes an exclusive lock file and refuses to run when it is already
+held.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 import logging
 import os
 import shutil
-import tempfile
+import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -32,6 +39,7 @@ from .canon import canon_bytes, canon_decode, file_digest, tree_manifest
 log = logging.getLogger(__name__)
 
 BLOB_MODE = 0o444
+_NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_EXCL
 
 
 class CacheError(Exception):
@@ -86,6 +94,7 @@ class CacheStore:
         self.root = os.fspath(root)
         self.objects_dir = os.path.join(self.root, "objects")
         self.tasks_dir = os.path.join(self.root, "tasks")
+        self._temp_serial = itertools.count()
 
     # -- blobs ------------------------------------------------------------
 
@@ -98,13 +107,12 @@ class CacheStore:
     def put_blob(self, source) -> str:
         """Store bytes, or a file by path, hashed while it is copied;
         returns the digest of the bytes stored. Idempotent: content
-        already present is not rewritten."""
+        already present is left in place, not rewritten."""
         if isinstance(source, bytes):
             digest = hashlib.sha256(source).hexdigest()
             if self.has_blob(digest):
                 return digest
-        os.makedirs(self.objects_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.objects_dir, prefix=".ingest-")
+        tmp, fd = self._create_temp(self.objects_dir, ".ingest-", BLOB_MODE)
         try:
             with os.fdopen(fd, "wb") as fh:
                 if isinstance(source, bytes):
@@ -112,19 +120,51 @@ class CacheStore:
                 else:
                     digest = file_digest(source, out=fh)
             dest = self.blob_path(digest)
-            if not os.path.exists(dest):
-                os.makedirs(os.path.dirname(dest), exist_ok=True)
-                os.chmod(tmp, BLOB_MODE)
-                os.replace(tmp, dest)
-            return digest
-        finally:
-            if os.path.exists(tmp):
+            if os.path.exists(dest):
                 os.unlink(tmp)
+            else:
+                try:
+                    os.replace(tmp, dest)
+                except FileNotFoundError:  # first blob in this shard
+                    os.makedirs(os.path.dirname(dest), exist_ok=True)
+                    os.replace(tmp, dest)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
+        return digest
 
-    def put_tree(self, root) -> str:
+    def put_tree(self, root, dest=None) -> str:
         """Store a directory: every member file as a blob plus the
-        canonical tree manifest; returns the tree digest."""
-        return self.put_blob(canon_bytes(tree_manifest(root, self.put_blob)))
+        canonical tree manifest; returns the tree digest. With `dest`,
+        each member is also hard-linked at its relpath under `dest` as
+        it is stored."""
+        root = os.fspath(root)
+
+        def member(path):
+            digest = self.put_blob(path)
+            if dest is not None:
+                link_file(path, os.path.join(dest, path[len(root):].lstrip(os.sep)))
+            return digest
+        return self.put_blob(canon_bytes(tree_manifest(root, member)))
+
+    def _create_temp(self, directory: str, prefix: str, mode: int):
+        """(path, fd) of a new file in `directory`, open for writing and
+        named for this process, thread and call, so no other writer uses
+        it. `directory` is made only when the first create misses it."""
+        made = False
+        while True:
+            path = os.path.join(directory, "%s%d-%d-%d" % (
+                prefix, os.getpid(), threading.get_ident(), next(self._temp_serial)))
+            try:
+                return path, os.open(path, _NEW_FILE, mode)
+            except FileNotFoundError:
+                if made:
+                    raise
+                os.makedirs(directory, exist_ok=True)
+                made = True
+            except FileExistsError:
+                pass  # left by a dead writer that had this pid and thread id
 
     def open_blob(self, digest: str):
         try:
@@ -148,16 +188,21 @@ class CacheStore:
     def materialize_blob(self, digest: str, dest: str):
         """Place blob content at dest. Linked files share the store's
         read-only inode, which is the write protection."""
-        src = self.blob_path(digest)
-        if not os.path.isfile(src):
-            raise CacheError("blob %s missing from store" % digest)
-        link_file(src, dest)
+        try:
+            link_file(self.blob_path(digest), dest)
+        except FileNotFoundError as exc:
+            raise CacheError("blob %s missing from store" % digest) from exc
 
-    def materialize_tree(self, digest: str, dest: str):
+    def materialize_tree(self, digest: str, dest: str) -> dict:
+        """Place a stored directory at dest; returns relpath -> path
+        placed, for each member."""
         manifest = self.read_tree_manifest(digest)
         os.makedirs(dest, exist_ok=True)
+        placed = {}
         for rel, member in manifest["entries"].items():
-            self.materialize_blob(member, os.path.join(dest, rel.replace("/", os.sep)))
+            placed[rel] = os.path.join(dest, rel.replace("/", os.sep))
+            self.materialize_blob(member, placed[rel])
+        return placed
 
     # -- task entries -----------------------------------------------------
 
@@ -173,12 +218,16 @@ class CacheStore:
         if not entry.created:
             entry = CacheEntry(entry.fingerprint, entry.run_id,
                                entry.file_outputs, entry.value_outputs, _utcnow())
-        os.makedirs(self.tasks_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.tasks_dir, prefix=".entry-")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(entry.to_data(), fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp, self.entry_path(entry.fingerprint))
+        tmp, fd = self._create_temp(self.tasks_dir, ".entry-", 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(entry.to_data(), fh, indent=1)
+                fh.write("\n")
+            os.replace(tmp, self.entry_path(entry.fingerprint))
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
     def get_entry(self, fingerprint: str) -> CacheEntry | None:
         """Fetch a verified entry, or None. An entry whose blobs are
@@ -281,10 +330,18 @@ class CacheStore:
 
 def link_file(src: str, dest: str):
     """Hard-link src at dest, replacing dest; copy it, mode included,
-    where the filesystem has no hard links."""
-    os.makedirs(os.path.dirname(dest) or ".", exist_ok=True)
-    if os.path.lexists(dest):
+    where the filesystem has no hard links. An old dest is removed, and
+    a missing parent directory made, only when the link meets one."""
+    try:
+        os.link(src, dest)
+        return
+    except FileExistsError:
         os.unlink(dest)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(dest) or ".", exist_ok=True)
+    except OSError:
+        shutil.copy(src, dest)
+        return
     try:
         os.link(src, dest)
     except OSError:

@@ -59,12 +59,16 @@ def regular_files(root):
     with names sorted at each level and relpaths /-separated. Symlinks
     and empty dirs are skipped: this is the one definition of what a
     directory artifact holds."""
+    root = os.fspath(root)
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()
+        # os.walk's dirpaths extend `root`: slice off the relpath prefix
+        prefix = dirpath[len(root):].lstrip(os.sep).replace(os.sep, "/")
+        prefix += "/" if prefix else ""
         for name in sorted(filenames):
             full = os.path.join(dirpath, name)
             if stat.S_ISREG(os.lstat(full).st_mode):
-                yield os.path.relpath(full, root).replace(os.sep, "/"), full
+                yield prefix + name, full
 
 
 def tree_manifest(root, member=None) -> dict:

@@ -38,8 +38,10 @@ class LoopbackTransport:
         os.makedirs(self.root, exist_ok=True)
 
     def _resolve(self, rel: str) -> str:
-        full = os.path.normpath(os.path.join(self.root, rel.replace("/", os.sep)))
-        if not full.startswith(os.path.abspath(self.root)):
+        root = os.path.abspath(self.root)
+        full = os.path.normpath(os.path.join(root, rel.replace("/", os.sep)))
+        # root + os.sep, so a sibling named like the root does not pass
+        if full != root and not full.startswith(os.path.join(root, "")):
             raise TransportError("path escapes transport root: %s" % rel)
         return full
 

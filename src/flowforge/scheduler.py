@@ -47,7 +47,7 @@ from enum import Enum
 
 from . import provenance, runstate
 from .cache import CacheEntry, CacheError, CacheStore, link_file
-from .canon import file_digest, regular_files
+from .canon import file_digest
 from .executors import OutputSpec, StagedInput, TaskSpec
 from .executors.local import LocalExecutor
 from .model import env_to_data
@@ -477,15 +477,20 @@ class Runner:
                 "(expected %s, got %s)"
                 % (binding.source, binding.digest[:12], actual[:12]))
 
-    def _materialize_input(self, port: str, binding: Blob, workdir: str) -> str:
+    def _materialize_input(self, port: str, binding: Blob, workdir: str):
+        """Stage an input under workdir. Returns its relpath and, for
+        each file staged, path -> (port, path within a directory input
+        or None, stat); a directory input gives each member the manifest
+        placed, so the sandbox is not walked again."""
         rel = "inputs/%s/%s" % (port, binding.name or binding.digest[:12])
         dest = os.path.join(workdir, rel.replace("/", os.sep))
         self._ingest_input(binding)
         if binding.tree:
-            self.cache.materialize_tree(binding.digest, dest)
+            placed = self.cache.materialize_tree(binding.digest, dest).items()
         else:
             self.cache.materialize_blob(binding.digest, dest)
-        return rel
+            placed = [(None, dest)]
+        return rel, {path: (port, member, os.stat(path)) for member, path in placed}
 
     def _execute_task(self, task: TaskInstance, fp: str,
                       run_dir: str) -> TaskResult:
@@ -501,12 +506,14 @@ class Runner:
 
             staged: list[StagedInput] = []
             input_paths: dict[str, str] = {}
+            before: dict[str, tuple] = {}
             for port in sorted(task.input_bindings):
                 binding = task.input_bindings[port]
                 if isinstance(binding, Blob):
-                    rel = self._materialize_input(port, binding, workdir)
+                    rel, files = self._materialize_input(port, binding, workdir)
                     input_paths[port] = rel
                     staged.append(StagedInput(port, rel, binding.tree))
+                    before.update(files)
 
             argv = resolve_argv(task, input_paths)
             outputs = tuple(
@@ -520,7 +527,6 @@ class Runner:
                 outputs=outputs,
                 wrapper=task.wrapper,
                 resources=task.resources)
-            before = _staged_files(workdir, staged)
             outcome = self.executor.execute(spec)
             rewritten = self._rewritten_input(task, before)
         except (CacheError, OSError) as exc:
@@ -567,10 +573,10 @@ class Runner:
         return None
 
     def _publish_outputs(self, task: TaskInstance, workdir: str) -> dict[str, str]:
-        """Ingest declared outputs into the cache, then hard-link the
-        produced files to their workspace paths, so that a task that
-        rewrites its staged input, a link into the store, cannot reach
-        them. Returns port -> digest."""
+        """Ingest declared outputs into the cache and hard-link each
+        produced file, as it is ingested, to its workspace path (not to
+        the store, so that a task that rewrites its staged input, a link
+        into the store, cannot reach them). Returns port -> digest."""
         files: dict[str, str] = {}
         for port, rel in sorted(task.file_output_paths.items()):
             produced = os.path.join(workdir, rel.replace("/", os.sep))
@@ -579,14 +585,10 @@ class Runner:
                 files[port] = self.cache.put_blob(produced)
                 link_file(produced, dest)
                 continue
-            files[port] = self.cache.put_tree(produced)
             if os.path.isdir(dest):
                 shutil.rmtree(dest)
             os.makedirs(dest)
-            for member in self.cache.read_tree_manifest(files[port])["entries"]:
-                member = member.replace("/", os.sep)
-                link_file(os.path.join(produced, member),
-                          os.path.join(dest, member))
+            files[port] = self.cache.put_tree(produced, dest)
         return files
 
     def _link_outputs(self, task: TaskInstance, entry: CacheEntry):
@@ -641,18 +643,6 @@ class Runner:
         doc = provenance.record(events)
         provenance.write_doc(run_dir, doc)
         provenance.update_index(os.path.dirname(run_dir), doc)
-
-
-def _staged_files(workdir: str, staged) -> dict[str, tuple]:
-    """path -> (port, path within a directory input or None, stat) for
-    every staged input file; a directory input gives each member."""
-    files = {}
-    for item in staged:
-        root = os.path.join(workdir, item.path.replace("/", os.sep))
-        members = regular_files(root) if item.tree else [(None, root)]
-        for member, path in members:
-            files[path] = (item.port, member, os.stat(path))
-    return files
 
 
 def _engine_version() -> str:

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import stat
+import sys
 import threading
 
 import pytest
@@ -62,6 +64,75 @@ def test_concurrent_puts_of_same_content(store, tmp_path):
     assert len(set(digests)) == 1
     with store.open_blob(digests[0]) as fh:
         assert fh.read() == b"racy content"
+
+
+def current_umask():
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def test_concurrent_writes_into_a_fresh_store(store, tmp_path):
+    """Writers racing to make objects/, a shard and tasks/ all succeed:
+    one that loses a makedirs race retries instead of raising."""
+    nthreads = 16
+    sources = []
+    for i in range(nthreads):
+        same = tmp_path / ("same%d.bin" % i)
+        same.write_bytes(b"identical bytes")
+        distinct = tmp_path / ("distinct%d.bin" % i)
+        distinct.write_bytes(b"distinct bytes %d" % i)
+        sources.append((str(same), str(distinct)))
+    start = threading.Barrier(nthreads)
+    digests, errors = [], []
+
+    def writer(i):
+        try:
+            start.wait()
+            same, distinct = sources[i]
+            put = [store.put_blob(same), store.put_blob(distinct),
+                   store.put_blob(b"bytes %d" % (i % 4))]
+            store.put_entry(CacheEntry("%064x" % i, "r1", {"o": put[1]}, {}))
+            digests.extend(put)
+        except BaseException as exc:  # collected: a thread cannot fail the test
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(i,)) for i in range(nthreads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(set(digests)) == 1 + nthreads + 4
+    assert len(list(store.entries())) == nthreads
+    mode = cache.BLOB_MODE & ~current_umask()
+    blobs = set()
+    for dirpath, _, names in os.walk(store.root):
+        for name in names:
+            assert not name.startswith((".ingest-", ".entry-")), name
+            path = os.path.join(dirpath, name)
+            if dirpath.startswith(store.objects_dir):
+                with open(path, "rb") as fh:
+                    assert hashlib.sha256(fh.read()).hexdigest() == name
+                assert stat.S_IMODE(os.stat(path).st_mode) == mode
+                blobs.add(name)
+    assert blobs == set(digests)
+
+
+def test_a_stored_blob_is_never_replaced(store, tmp_path):
+    """Workspaces and sandboxes hard-link blobs: storing the same bytes
+    again must keep the one inode they share."""
+    digest = store.put_blob(b"shared bytes")
+    inode = os.stat(store.blob_path(digest)).st_ino
+    assert store.put_blob(b"shared bytes") == digest
+    assert put_bytes(store, b"shared bytes", tmp_path) == digest
+    assert os.stat(store.blob_path(digest)).st_ino == inode
 
 
 def test_blob_is_named_by_the_bytes_it_holds(store, tmp_path, monkeypatch):

@@ -271,6 +271,19 @@ def test_remote_missing_output_stays_absent(tmp_path):
     assert not (w / "never.txt").exists()
 
 
+def test_loopback_paths_stay_under_the_transport_root(tmp_path):
+    from flowforge.executors.remote import LoopbackTransport, TransportError
+
+    root = tmp_path / "remote"
+    transport = LoopbackTransport(str(root))
+    assert transport._resolve("a/b") == os.path.join(str(root), "a", "b")
+    assert transport._resolve(".") == str(root)
+    # a sibling whose name starts with the root's name is still outside
+    for rel in ("../remote2/a", "../other/a", ".."):
+        with pytest.raises(TransportError):
+            transport._resolve(rel)
+
+
 def test_make_executor_names():
     from flowforge.executors import ExecutorError
     assert make_executor("local", ".").__class__.__name__ == "LocalExecutor"

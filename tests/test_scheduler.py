@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import threading
 
 import pytest
@@ -549,3 +550,74 @@ def test_task_cannot_poison_the_store_through_its_input(tmp_path, kind):
     assert result.states["taint"].state == "failed"
     assert made.read_text() == "clean\n"
     assert_blobs_match_names(str(ws))
+
+
+class CountingOs:
+    """Stands in for `os` inside flowforge.cache: counts the calls that
+    set the per-member cost of moving a directory through the engine."""
+
+    WATCHED = ("link", "chmod", "fchmod", "makedirs")
+
+    def __init__(self):
+        self.calls = {name: [] for name in self.WATCHED}
+
+    def __getattr__(self, name):
+        real = getattr(os, name)
+        if name not in self.WATCHED:
+            return real
+
+        def counted(*args, **kwargs):
+            # (whether args[0] was a directory already, args)
+            self.calls[name].append((os.path.isdir(args[0]), args))
+            return real(*args, **kwargs)
+        return counted
+
+
+def test_directory_artifact_file_operation_budget(tmp_path, monkeypatch):
+    """A deterministic guard beside the benchmark: publishing and staging
+    a 200-member directory costs one link per member placed, one hash
+    per member stored, no chmod, no mkstemp, and a makedirs only for a
+    directory that does not exist yet."""
+    n = 200
+    doc = {
+        "name": "budget",
+        "processes": [
+            {"id": "make",
+             "command": ["sh", "-c", "mkdir {outputs.d} && for i in $(seq %d);"
+                         " do echo $i > {outputs.d}/m$i; done" % n],
+             "outputs": {"d": {"type": "directory", "path": "d"}}},
+            {"id": "count",
+             "command": ["sh", "-c", "ls {inputs.d} | wc -l > {outputs.n}"],
+             "inputs": {"d": {"type": "directory", "from": "make.d"}},
+             "outputs": {"n": {"type": "file", "path": "n.txt"}}},
+        ],
+        "outputs": {"n": "count.n"},
+    }
+    mkstemps, hashed = [], []
+    real_mkstemp, real_digest = tempfile.mkstemp, cache.file_digest
+    monkeypatch.setattr(tempfile, "mkstemp",
+                        lambda *a, **k: mkstemps.append(a) or real_mkstemp(*a, **k))
+    monkeypatch.setattr(cache, "file_digest",
+                        lambda path, **k: hashed.append(path) or real_digest(path, **k))
+    ws = tmp_path / "ws"
+    for fresh in (True, False):
+        counting = CountingOs()
+        hashed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(cache, "os", counting)
+            result = run_once(ws, graph_for(tmp_path, doc), Policy.RECOMPUTE)
+        assert result.ok, result.states
+        assert (ws / "n.txt").read_text().strip() == str(n)
+        # n members into the workspace, n into count's sandbox, and n.txt;
+        # replacing the first round's n.txt takes a second link after unlink
+        links = [args[1] for _, args in counting.calls["link"]]
+        assert len(set(links)) == 2 * n + 1
+        assert len(links) == 2 * n + 1 + (not fresh)
+        assert counting.calls["chmod"] == counting.calls["fchmod"] == []
+        assert mkstemps == []
+        assert len(hashed) == n + 1
+        made = [args[0] for existed, args in counting.calls["makedirs"]]
+        assert not any(existed for existed, _ in counting.calls["makedirs"])
+        assert len(made) == len(set(made))
+        if not fresh:  # the store's directories exist: only count's sandbox
+            assert len(made) == 1
