@@ -5,26 +5,30 @@ Layout:
     cache/tasks/<fingerprint>.json    task result entry
 
 put_blob is the one place that reads an artifact into the store. It
-hashes a file while copying it into a temp file, then installs the copy
-by atomic rename under the digest of the bytes copied, so a blob's name
-is its content's hash even if the source changes meanwhile. Temp files
-are named for their writer (process, thread and call), so concurrent
-writers never share one. A blob's temp file is created read-only:
-stored blobs are read-only because task sandboxes and linked workspaces
-hard-link them. A blob already stored is never rewritten, so those
-links keep sharing its one inode. Directories are made on the first
-write that misses them, not checked before each write. Directory
-outputs are stored as a tree-manifest blob (canonical bytes, own
-digest) plus one blob per member file. gc keeps the entries of kept
-runs, the inputs those runs recorded and every blob either references;
-it takes an exclusive lock file and refuses to run when it is already
-held.
+hashes a file while reading it, into memory when it fits in one read
+chunk and into a temp file otherwise, then installs the bytes read by
+atomic rename under their digest, so a blob's name is its content's
+hash even if the source changes meanwhile. Content that is already
+stored and fits in a chunk costs no create. Temp files are named for
+their writer (process, thread and call), so concurrent writers never
+share one. A blob's temp file is created read-only: stored blobs are
+read-only because task sandboxes and linked workspaces hard-link them.
+A blob already stored is never rewritten, so those links keep sharing
+its one inode. Directories are made on the first write that misses
+them, not checked before each write. Directory outputs are stored as a
+tree-manifest blob (canonical bytes, own digest) plus one blob per
+member file. gc keeps the entries of kept runs, the inputs those runs
+recorded and every blob either references; it reads the 13-byte head
+of each kept blob and only tree manifests whole, so its memory does
+not grow with output size. It takes an exclusive lock file and refuses
+to run when it is already held.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import itertools
 import json
 import logging
@@ -34,7 +38,8 @@ import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .canon import canon_bytes, canon_decode, file_digest, tree_manifest
+from .canon import (CHUNK, MANIFEST_HEAD, canon_bytes, canon_decode,
+                    file_digest, tree_manifest)
 
 log = logging.getLogger(__name__)
 
@@ -105,18 +110,25 @@ class CacheStore:
         return os.path.isfile(self.blob_path(digest))
 
     def put_blob(self, source) -> str:
-        """Store bytes, or a file by path, hashed while it is copied;
+        """Store bytes, or a file by path, hashed while it is read;
         returns the digest of the bytes stored. Idempotent: content
-        already present is left in place, not rewritten."""
+        already present is left in place, not rewritten. A file that
+        fits in one CHUNK is hashed into memory, so storing it again
+        creates nothing; a larger one is hashed while it is copied."""
+        data = None
         if isinstance(source, bytes):
-            digest = hashlib.sha256(source).hexdigest()
-            if self.has_blob(digest):
-                return digest
+            data, digest = source, hashlib.sha256(source).hexdigest()
+        elif os.stat(source).st_size <= CHUNK:
+            buf = io.BytesIO()
+            digest = file_digest(source, out=buf)
+            data = buf.getvalue()
+        if data is not None and self.has_blob(digest):
+            return digest
         tmp, fd = self._create_temp(self.objects_dir, ".ingest-", BLOB_MODE)
         try:
             with os.fdopen(fd, "wb") as fh:
-                if isinstance(source, bytes):
-                    fh.write(source)
+                if data is not None:
+                    fh.write(data)
                 else:
                     digest = file_digest(source, out=fh)
             dest = self.blob_path(digest)
@@ -167,14 +179,21 @@ class CacheStore:
                 pass  # left by a dead writer that had this pid and thread id
 
     def open_blob(self, digest: str):
+        """The blob, open unbuffered: a read of n bytes reads n, no more."""
         try:
-            return open(self.blob_path(digest), "rb")
+            return open(self.blob_path(digest), "rb", buffering=0)
         except OSError as exc:
             raise CacheError("blob %s missing from store" % digest) from exc
 
     def read_tree_manifest(self, digest: str) -> dict:
+        """The tree manifest stored as `digest`. Only a blob that starts
+        with MANIFEST_HEAD is read past its first 13 bytes, so rejecting
+        a file output costs no memory."""
         with self.open_blob(digest) as fh:
-            data = fh.read()
+            head = fh.read(len(MANIFEST_HEAD))
+            if head != MANIFEST_HEAD:
+                raise CacheError("blob %s is not a tree manifest" % digest)
+            data = head + fh.read()
         try:
             manifest = canon_decode(data)
         except (ValueError, RecursionError) as exc:
@@ -267,12 +286,11 @@ class CacheStore:
         """`digests` plus the members of those that name tree manifests."""
         refs = set(digests)
         for digest in digests:
-            if self.has_blob(digest):
-                try:
-                    manifest = self.read_tree_manifest(digest)
-                except CacheError:
-                    continue
-                refs.update(manifest["entries"].values())
+            try:  # a missing blob is no manifest either
+                manifest = self.read_tree_manifest(digest)
+            except CacheError:
+                continue
+            refs.update(manifest["entries"].values())
         return refs
 
     def gc(self, keep_runs, keep_blobs=()) -> GcReport:

@@ -19,6 +19,8 @@ from typing import Union
 
 Value = Union[None, bool, int, float, str, list, tuple, dict]
 
+CHUNK = 1 << 20  # bytes per read when hashing a file
+
 
 class CanonError(ValueError):
     """Raised for values outside the encodable domain."""
@@ -43,11 +45,11 @@ def canon_digest(value: Value) -> str:
 
 
 def file_digest(path, out=None) -> str:
-    """SHA-256 hex digest of a file's raw bytes, streamed. When given,
-    the binary file `out` receives every chunk hashed."""
+    """SHA-256 hex digest of a file's raw bytes, streamed in CHUNK-sized
+    reads. When given, the binary file `out` receives every chunk hashed."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
+        while chunk := fh.read(CHUNK):
             h.update(chunk)
             if out is not None:
                 out.write(chunk)
@@ -69,6 +71,11 @@ def regular_files(root):
             full = os.path.join(dirpath, name)
             if stat.S_ISREG(os.lstat(full).st_mode):
                 yield prefix + name, full
+
+
+# Map keys sort by UTF-8 bytes, so "entries" precedes "kind": the
+# canonical bytes of every tree_manifest start with this head.
+MANIFEST_HEAD = b"ms7:entries;m"
 
 
 def tree_manifest(root, member=None) -> dict:

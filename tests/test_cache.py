@@ -11,7 +11,7 @@ import pytest
 
 from flowforge import cache
 from flowforge.cache import CacheEntry, CacheStore, GcLockError
-from flowforge.canon import file_digest, tree_digest
+from flowforge.canon import canon_bytes, file_digest, tree_digest, tree_manifest
 
 
 @pytest.fixture
@@ -135,6 +135,49 @@ def test_a_stored_blob_is_never_replaced(store, tmp_path):
     assert os.stat(store.blob_path(digest)).st_ino == inode
 
 
+class CreateCountingOs:
+    """Stands in for `os` inside flowforge.cache: records each open
+    with O_CREAT that succeeds."""
+
+    def __init__(self):
+        self.creates = []
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def open(self, path, flags, *args, **kwargs):
+        fd = os.open(path, flags, *args, **kwargs)
+        if flags & os.O_CREAT:
+            self.creates.append(path)
+        return fd
+
+
+def blob_inodes(store):
+    return {name: os.stat(os.path.join(dirpath, name)).st_ino
+            for dirpath, _, names in os.walk(store.objects_dir) for name in names}
+
+
+def test_restoring_stored_content_creates_nothing(store, tmp_path, monkeypatch):
+    """Storing a directory costs one create per new member and for its
+    manifest; storing it again creates no file and keeps every inode
+    that sandboxes and workspaces may have linked."""
+    n = 200
+    src = tmp_path / "tree"
+    src.mkdir()
+    for i in range(n):
+        (src / ("m%d" % i)).write_bytes(b"member %d\n" % i)
+    counting = CreateCountingOs()
+    monkeypatch.setattr(cache, "os", counting)
+    digest = store.put_tree(str(src))
+    assert len(counting.creates) == n + 1
+    inodes = blob_inodes(store)
+    assert len(inodes) == n + 1
+    counting.creates.clear()
+    assert store.put_tree(str(src)) == digest
+    assert counting.creates == []
+    assert blob_inodes(store) == inodes
+
+
 def test_blob_is_named_by_the_bytes_it_holds(store, tmp_path, monkeypatch):
     """A source rewritten just after it was hashed must not be stored
     under the old digest: the store names the bytes it copied."""
@@ -250,6 +293,84 @@ def test_gc_keeps_binary_file_outputs(store, tmp_path, data):
     assert report.kept_entries == 1
     assert report.removed_entries == [] and report.removed_blobs == []
     assert store.has_blob(digest)
+
+
+class ReadCountingFile:
+    """A blob handle that adds the bytes each read returns to a count."""
+
+    def __init__(self, fh, counts):
+        self._fh, self._counts = fh, counts
+
+    def read(self, *args):
+        data = self._fh.read(*args)
+        self._counts[self._fh.name] = self._counts.get(self._fh.name, 0) + len(data)
+        return data
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_gc_reads_only_the_head_of_a_file_output(store, tmp_path, monkeypatch):
+    """gc tells a file output from a tree manifest by its first 13 bytes:
+    a 4 MiB output is not read whole into memory."""
+    src = tmp_path / "big.out"
+    with open(src, "wb") as fh:
+        fh.write(b"ms7:entries;")  # a manifest's head, short by one byte
+        fh.truncate(4 << 20)
+    digest = store.put_blob(str(src))
+    store.put_entry(CacheEntry("6" * 64, "r1", {"o": digest}, {}))
+    counts = {}
+    monkeypatch.setattr(cache, "open", lambda *a, **k: ReadCountingFile(open(*a, **k), counts),
+                        raising=False)
+    report = store.gc(keep_runs={"r1"})
+    assert (report.kept_entries, report.kept_blobs, report.removed_blobs) == (1, 1, [])
+    assert counts[store.blob_path(digest)] <= 13
+
+
+def stored_tree(store, tmp_path):
+    """(tree digest, its manifest bytes, its member digests)."""
+    src = tmp_path / "tree"
+    src.mkdir()
+    (src / "a.txt").write_bytes(b"member a")
+    (src / "b.txt").write_bytes(b"member b")
+    digest = store.put_tree(str(src))
+    members = sorted(file_digest(str(p)) for p in (src / "a.txt", src / "b.txt"))
+    return digest, canon_bytes(tree_manifest(str(src))), members
+
+
+@pytest.mark.parametrize("case", [
+    "truncated-manifest", "kind-blob", "output-equals-manifest", "missing-root"])
+def test_gc_verdicts_on_manifest_lookalikes(store, tmp_path, case):
+    """Which kept outputs gc treats as trees: only a whole, decodable
+    manifest of kind "tree" keeps its members; a missing root is skipped."""
+    tree, manifest, members = stored_tree(store, tmp_path)
+    if case == "truncated-manifest":
+        output = put_bytes(store, manifest[:-3], tmp_path)
+    elif case == "kind-blob":
+        output = put_bytes(store, canon_bytes(
+            {"entries": {"a.txt": members[0]}, "kind": "blob"}), tmp_path)
+    elif case == "output-equals-manifest":
+        output = put_bytes(store, manifest, tmp_path)
+    else:
+        output = put_bytes(store, b"to be lost", tmp_path)
+    store.put_entry(CacheEntry("7" * 64, "r1", {"o": output}, {}))
+    if case == "missing-root":
+        os.unlink(store.blob_path(output))
+    report = store.gc(keep_runs={"r1"})
+    assert report.kept_entries == 1 and report.removed_entries == []
+    if case == "output-equals-manifest":
+        assert output == tree
+        assert (report.kept_blobs, report.removed_blobs) == (3, [])
+    elif case == "missing-root":
+        assert report.kept_blobs == 0
+        assert sorted(report.removed_blobs) == sorted(members + [tree])
+    else:
+        assert report.kept_blobs == 1
+        assert sorted(report.removed_blobs) == sorted(members + [tree])
+        assert store.has_blob(output)
 
 
 def test_gc_removes_corrupt_entries(store, tmp_path):

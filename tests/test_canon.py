@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from flowforge.canon import (CanonError, canon_bytes, canon_decode,
-                             canon_digest, file_digest, tree_digest)
+                             canon_digest, file_digest, tree_digest,
+                             tree_manifest)
 from reference_canon import ref_canon, ref_canon_digest, ref_render_float
 
 scalars = (st.none() | st.booleans()
@@ -151,3 +152,21 @@ def test_tree_digest_covers_names_and_content(tmp_path):
     assert tree_digest(str(t1)) != tree_digest(str(t3))
     (t2 / "sub" / "x.txt").rename(t2 / "sub" / "y.txt")
     assert tree_digest(str(t1)) != tree_digest(str(t2))
+
+
+@pytest.mark.parametrize("members", [
+    [], ["top.txt"], ["a/b/c.txt", "a/z.txt", "b.txt"], ["é/ü.txt", "日本.bin"]],
+    ids=["empty", "flat", "nested", "non-ascii"])
+def test_tree_manifest_head_and_tail_are_fixed(tmp_path, members):
+    """Keys sort by UTF-8 bytes, so "entries" precedes "kind": every
+    manifest starts and ends with the same bytes (the store reads this
+    head to tell a manifest from a file output)."""
+    root = tmp_path / "tree"
+    root.mkdir()
+    for rel in members:
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(rel.encode())
+    enc = canon_bytes(tree_manifest(str(root)))
+    assert enc.startswith(b"ms7:entries;m")
+    assert enc.endswith(b"s4:kind;s4:tree;;")
+    assert sorted(canon_decode(enc)["entries"]) == sorted(members)

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -189,6 +191,46 @@ def test_cache_gc_keeps_recorded_inputs_of_kept_runs(ws):
         assert os.path.isfile(os.path.join(ws, "cache", "objects", digest[:2],
                                            digest)), digest
     assert_blobs_match_names(ws)
+
+
+# Reaps its command with os.wait4 and prints the exit code, the peak RSS
+# in KiB and the output. Linux carries the exec'ing process's peak into
+# the child's ru_maxrss, so the command is started from this small
+# process rather than from the test runner.
+RSS_PROBE = """
+import json, os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+out = proc.stdout.read().decode()
+_, status, usage = os.wait4(proc.pid, 0)
+print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss, out]))
+"""
+
+
+def gc_peak_rss_kb(root, output_size):
+    """Peak RSS of `cache gc` on a store whose one kept entry has a file
+    output of `output_size` bytes."""
+    from flowforge.cache import CacheEntry, CacheStore
+    root.mkdir()
+    src, ws = str(root / "out.bin"), str(root / "ws")
+    with open(src, "wb") as fh:
+        fh.write(b"output\n")
+        fh.truncate(output_size)
+    store = CacheStore(os.path.join(ws, "cache"))
+    store.put_entry(CacheEntry("8" * 64, "r1", {"o": store.put_blob(src)}, {}))
+    probe = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, sys.executable, "-m", "flowforge",
+         "cache", "gc", "--keep-run", "r1", "--workdir", ws],
+        capture_output=True, text=True, timeout=120)
+    code, peak_kb, out = json.loads(probe.stdout)
+    assert code == 0, out
+    assert "kept 1 entries, 1 blobs" in out
+    return peak_kb
+
+
+def test_gc_memory_does_not_grow_with_output_size(tmp_path):
+    small = gc_peak_rss_kb(tmp_path / "small", 1 << 10)
+    large = gc_peak_rss_kb(tmp_path / "large", 64 << 20)
+    assert abs(large - small) <= 4 * 1024, (small, large)  # ru_maxrss is in KiB
 
 
 def test_link_run_executes_a_task_whose_tree_member_is_gone(ws, tmp_path):
