@@ -273,8 +273,7 @@ def _params_for_journal(fw, param_values, graph) -> dict:
                 if src.startswith("params."):
                     digests[src.split(".", 1)[1]] = binding.digest
     for name, value in merged.items():
-        kind = fw.params[name].type.kind if name in fw.params else None
-        if kind in ("file", "directory"):
+        if fw.params[name].type.kind in ("file", "directory"):
             rendered[name] = {"path": str(value), "digest": digests.get(name)}
         else:
             rendered[name] = value

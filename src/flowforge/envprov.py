@@ -28,7 +28,6 @@ class EnvResolutionError(WorkflowError):
 class ResolvedEnv:
     wrapper: tuple[str, ...]
     fingerprint: str
-    provider: str
 
 
 class ProviderRegistry:
@@ -110,4 +109,4 @@ def resolve_env(spec: EnvSpec | None, providers: ProviderRegistry | None = None,
         raise EnvResolutionError("unknown environment variant %r" % spec.variant)
 
     wrapper = providers.wrapper_for(spec.variant, subs)
-    return ResolvedEnv(wrapper, fingerprint, spec.variant)
+    return ResolvedEnv(wrapper, fingerprint)

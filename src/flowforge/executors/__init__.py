@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 from dataclasses import dataclass, field
 
 from ..canon import file_digest  # noqa: F401  (perfbench's tracer wraps it)
@@ -63,14 +64,27 @@ class TaskSpec:
 @dataclass
 class Outcome:
     exit_code: int
-    stdout_path: str | None = None
-    stderr_path: str | None = None
     value_outputs: dict[str, object] = field(default_factory=dict)
     error: str | None = None
 
     @property
     def success(self) -> bool:
         return self.exit_code == 0 and self.error is None
+
+
+def spawn(argv, cwd: str | None, stdout_path: str,
+          stderr_path: str) -> tuple[int, str | None]:
+    """Run argv to completion with its streams in the two files and no
+    stdin. Returns (exit code, None), or (127, error) when it cannot
+    start; the reason is then also written to stderr_path."""
+    with open(stdout_path, "wb") as out_fh, open(stderr_path, "wb") as err_fh:
+        try:
+            proc = subprocess.run(list(argv), cwd=cwd, stdout=out_fh,
+                                  stderr=err_fh, stdin=subprocess.DEVNULL)
+        except OSError as exc:
+            err_fh.write(("%s\n" % exc).encode())
+            return 127, "spawn failure: %s" % exc
+    return proc.returncode, None
 
 
 def collect_outcome(spec: TaskSpec, exit_code: int, error: str | None = None) -> Outcome:
@@ -82,12 +96,7 @@ def collect_outcome(spec: TaskSpec, exit_code: int, error: str | None = None) ->
     cache store hashes artifacts as it copies them in, over local files,
     which for remote execution means after stage-out.
     """
-    outcome = Outcome(
-        exit_code,
-        os.path.join(spec.workdir, STDOUT_NAME),
-        os.path.join(spec.workdir, STDERR_NAME),
-        error=error,
-    )
+    outcome = Outcome(exit_code, error=error)
     if exit_code != 0 or error is not None:
         return outcome
 

@@ -16,7 +16,6 @@ import contextlib
 import itertools
 import os
 import shlex
-import subprocess
 import sys
 import tempfile
 import threading
@@ -24,7 +23,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from . import Outcome, STDERR_NAME, STDOUT_NAME, TaskSpec, collect_outcome
+from . import (Outcome, STDERR_NAME, STDOUT_NAME, TaskSpec, collect_outcome,
+               spawn)
 
 DEFAULT_RESOURCES = {"cpus": 1, "memory": "1024M", "walltime": "00:10:00"}
 RUNNER_CONCURRENCY = 8  # jobs BatchExecutor's in-process runner runs at once
@@ -135,14 +135,8 @@ def run_spool(spool_dir: str, concurrency: int = 1, drain: bool = False,
 
     def execute(job_id: str, script_path: str, state_path: str):
         try:
-            proc = subprocess.run(
-                ["sh", script_path],
-                stdin=subprocess.DEVNULL,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL)
-            _write_state(state_path, "done:%d" % proc.returncode)
-        except OSError:
-            _write_state(state_path, "done:127")
+            exit_code, _ = spawn(["sh", script_path], None, os.devnull, os.devnull)
+            _write_state(state_path, "done:%d" % exit_code)
         finally:
             with lock:
                 active.discard(job_id)

@@ -3,24 +3,16 @@
 from __future__ import annotations
 
 import os
-import subprocess
 
-from . import Outcome, STDERR_NAME, STDOUT_NAME, TaskSpec, collect_outcome
+from . import (Outcome, STDERR_NAME, STDOUT_NAME, TaskSpec, collect_outcome,
+               spawn)
 
 
 class LocalExecutor:
     name = "local"
 
     def execute(self, spec: TaskSpec) -> Outcome:
-        stdout_path = os.path.join(spec.workdir, STDOUT_NAME)
-        stderr_path = os.path.join(spec.workdir, STDERR_NAME)
-        with open(stdout_path, "wb") as out_fh, open(stderr_path, "wb") as err_fh:
-            try:
-                proc = subprocess.run(
-                    spec.full_argv, cwd=spec.workdir,
-                    stdout=out_fh, stderr=err_fh,
-                    stdin=subprocess.DEVNULL)
-            except OSError as exc:
-                err_fh.write(("%s\n" % exc).encode())
-                return collect_outcome(spec, 127, error="spawn failure: %s" % exc)
-        return collect_outcome(spec, proc.returncode)
+        exit_code, error = spawn(spec.full_argv, spec.workdir,
+                                 os.path.join(spec.workdir, STDOUT_NAME),
+                                 os.path.join(spec.workdir, STDERR_NAME))
+        return collect_outcome(spec, exit_code, error)

@@ -10,15 +10,15 @@ is not listed.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import posixpath
 import shutil
-import subprocess
 
 from ..canon import regular_files
 from . import (MANIFEST_NAME, Outcome, STDERR_NAME, STDOUT_NAME, TaskSpec,
-               collect_outcome)
+               collect_outcome, spawn)
 
 TRANSFER_LOG = "transfer.json"
 REMOTE_BASE = "jobs"  # task workdirs live at <transport root>/jobs/<task id>
@@ -75,20 +75,16 @@ class LoopbackTransport:
         os.makedirs(local, exist_ok=True)
         return members
 
-    def run(self, argv, cwd_rel: str, stdout_rel: str, stderr_rel: str) -> int:
+    def clear(self, remote_rel: str):
+        """Remove a remote directory and everything under it."""
+        with contextlib.suppress(FileNotFoundError):
+            shutil.rmtree(self._resolve(remote_rel))
+
+    def run(self, argv, cwd_rel: str, stdout_rel: str,
+            stderr_rel: str) -> tuple[int, str | None]:
         cwd = self._resolve(cwd_rel)
         os.makedirs(cwd, exist_ok=True)
-        stdout_path = self._resolve(stdout_rel)
-        stderr_path = self._resolve(stderr_rel)
-        with open(stdout_path, "wb") as out_fh, open(stderr_path, "wb") as err_fh:
-            try:
-                proc = subprocess.run(
-                    list(argv), cwd=cwd, stdout=out_fh, stderr=err_fh,
-                    stdin=subprocess.DEVNULL)
-            except OSError as exc:
-                err_fh.write(("%s\n" % exc).encode())
-                return 127
-        return proc.returncode
+        return spawn(argv, cwd, self._resolve(stdout_rel), self._resolve(stderr_rel))
 
 
 class RemoteExecutor:
@@ -111,6 +107,7 @@ class RemoteExecutor:
         staged_out: list[str] = []
 
         try:
+            self.transport.clear(remote_dir)  # no output of an earlier run
             for staged in spec.inputs:
                 local = os.path.join(spec.workdir, staged.path.replace("/", os.sep))
                 if staged.tree:
@@ -122,7 +119,7 @@ class RemoteExecutor:
                     self.transport.push(local, posixpath.join(remote_dir, staged.path))
                     staged_in.append(staged.path)
 
-            exit_code = self.transport.run(
+            exit_code, error = self.transport.run(
                 spec.full_argv, remote_dir,
                 posixpath.join(remote_dir, STDOUT_NAME),
                 posixpath.join(remote_dir, STDERR_NAME))
@@ -152,14 +149,10 @@ class RemoteExecutor:
             self.transport.pull(posixpath.join(remote_dir, STDERR_NAME),
                                 os.path.join(spec.workdir, STDERR_NAME))
         except TransportError as exc:
-            self._write_transfer_log(spec, staged_in, staged_out)
-            return collect_outcome(spec, -1, error="transport failure: %s" % exc)
+            exit_code, error = -1, "transport failure: %s" % exc
 
-        self._write_transfer_log(spec, staged_in, staged_out)
-        return collect_outcome(spec, exit_code)
-
-    def _write_transfer_log(self, spec, staged_in, staged_out):
         path = os.path.join(spec.workdir, TRANSFER_LOG)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"in": staged_in, "out": staged_out}, fh, indent=1)
             fh.write("\n")
+        return collect_outcome(spec, exit_code, error)

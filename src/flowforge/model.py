@@ -219,7 +219,6 @@ class WorkflowDef:
     processes: tuple[ProcessDef, ...]
     outputs: dict[str, str]
     env: EnvSpec | None = None
-    format_version: int = FORMAT_VERSION
 
 
 @dataclass(frozen=True)
@@ -502,28 +501,11 @@ def _build_def(data, source) -> WorkflowDef:
 
     env = _parse_env(data["env"], "env") if "env" in data else None
 
-    return WorkflowDef(name, params, tuple(processes), outputs, env, version)
+    return WorkflowDef(name, params, tuple(processes), outputs, env)
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def serialize_workflow(wf: WorkflowDef) -> str:
-    """Render a WorkflowDef back to canonical JSON text.
-
-    parse(serialize(parse(t))) is structurally equal to parse(t).
-    """
-    return json.dumps(_def_to_data(wf), indent=2, sort_keys=False) + "\n"
-
-
-def _type_to_data(t: PortType, node: dict):
-    if t.kind == "array":
-        node["type"] = "array[%s]" % t.element.kind
-    else:
-        node["type"] = t.kind
-        if t.format is not None:
-            node["format"] = t.format
-
 
 def env_to_data(env: EnvSpec):
     """EnvSpec in its on-disk form (also echoed into provenance)."""
@@ -534,52 +516,6 @@ def env_to_data(env: EnvSpec):
     if env.variant == "recipe":
         return {"recipe": env.recipe}
     return {"manifest": [{"name": n, "version": v} for n, v in env.packages]}
-
-
-def _def_to_data(wf: WorkflowDef) -> dict:
-    data = {"formatVersion": wf.format_version, "name": wf.name}
-    if wf.params:
-        params = {}
-        for name, decl in wf.params.items():
-            node = {}
-            _type_to_data(decl.type, node)
-            if decl.has_default:
-                node["default"] = decl.default
-            params[name] = node
-        data["params"] = params
-    procs = []
-    for p in wf.processes:
-        node = {"id": p.id}
-        if p.command is not None:
-            node["command"] = list(p.command)
-        else:
-            node["subworkflow"] = p.subworkflow
-        if p.inputs:
-            node["inputs"] = {}
-            for port, decl in p.inputs.items():
-                pn = {}
-                _type_to_data(decl.type, pn)
-                pn["from"] = decl.source
-                node["inputs"][port] = pn
-        if p.outputs:
-            node["outputs"] = {}
-            for port, decl in p.outputs.items():
-                pn = {}
-                _type_to_data(decl.type, pn)
-                if decl.path is not None:
-                    pn["path"] = decl.path
-                node["outputs"][port] = pn
-        if p.env is not None:
-            node["env"] = env_to_data(p.env)
-        if p.resources is not None:
-            node["resources"] = dict(p.resources)
-        procs.append(node)
-    data["processes"] = procs
-    if wf.outputs:
-        data["outputs"] = dict(wf.outputs)
-    if wf.env is not None:
-        data["env"] = env_to_data(wf.env)
-    return data
 
 
 # ---------------------------------------------------------------------------

@@ -132,19 +132,6 @@ class TaskGraph:
             raise PlanError("task graph has a cycle")
         return order
 
-    def descendants(self, roots) -> set[str]:
-        """All tasks reachable downstream from the given task ids."""
-        children = self.children()
-        seen: set[str] = set()
-        frontier = list(roots)
-        while frontier:
-            node = frontier.pop()
-            for child in children[node]:
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return seen
-
 
 def digest_artifact(path: str, is_dir: bool) -> str:
     return tree_digest(path) if is_dir else file_digest(path)

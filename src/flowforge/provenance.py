@@ -111,12 +111,6 @@ class ProvenanceDoc:
     workflow_outputs: dict = field(default_factory=dict)
     incomplete: bool = False
 
-    def record_for(self, task: str) -> TaskProvRecord | None:
-        for rec in self.records:
-            if rec.task == task:
-                return rec
-        return None
-
     def to_data(self) -> dict:
         return {
             "schema": PROV_SCHEMA,

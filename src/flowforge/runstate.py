@@ -194,7 +194,6 @@ class StatusSnapshot:
     run_state: str | None
     elapsed: float
     warnings: tuple[str, ...] = ()
-    pid: int | None = None
 
     @property
     def done(self) -> int:
@@ -294,4 +293,4 @@ def status(run_dir: str) -> StatusSnapshot:
 
     return StatusSnapshot(run_id, len(tasks), counts, running, pending,
                           terminal, run_state, max(elapsed, 0.0),
-                          tuple(warnings), pid)
+                          tuple(warnings))

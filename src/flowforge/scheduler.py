@@ -90,10 +90,6 @@ class TaskAction:
     def is_execute(self) -> bool:
         return self.kind == "execute"
 
-    @property
-    def cached_from(self) -> str | None:
-        return self.entry.run_id if self.entry else None
-
 
 EXECUTE = TaskAction("execute")
 BLOCKED = TaskAction("blocked")
@@ -373,7 +369,7 @@ class Runner:
                         stop = True
 
             if stop:
-                self._wind_down(graph, journal, results)
+                self._wind_down(walk, runnable, journal)
             elif len(results) != len(graph.tasks):
                 raise SchedulerError(
                     "scheduler stalled; remaining tasks %s"
@@ -416,13 +412,24 @@ class Runner:
 
     # -- dispatch helpers ----------------------------------------------------
 
-    def _wind_down(self, graph, journal, results):
-        failed = {t for t, r in results.items() if r.state == "failed"}
-        downstream = graph.descendants(failed)
-        for tid in sorted(set(graph.tasks) - set(results)):
-            state = "blocked" if tid in downstream else "aborted"
-            results[tid] = TaskResult(state)
-            journal.append("task-finished", tid, {"state": state})
+    def _wind_down(self, walk: _Walk, runnable, journal):
+        """Settle what a stopped run left. A queued task is aborted; each
+        task readied since is blocked when a dependency failed or is
+        blocked, else aborted. The heap is popped directly, so nothing is
+        resolved, linked or skipped. Results and events follow in
+        ascending id, which keeps the journal's `counts` in its order."""
+        results = walk.results
+        left = sorted(set(walk.graph.tasks) - set(results))
+        for tid, _, _ in runnable:
+            walk.settle(tid, TaskResult("aborted"))
+        while walk.ready:
+            tid = heapq.heappop(walk.ready)
+            blocked = any(results[dep].state in ("failed", "blocked")
+                          for dep in walk.graph.tasks[tid].deps)
+            walk.settle(tid, TaskResult("blocked" if blocked else "aborted"))
+        for tid in left:
+            results[tid] = results.pop(tid)
+            journal.append("task-finished", tid, {"state": results[tid].state})
 
     # -- binding resolution and materialization ------------------------------
 
@@ -500,8 +507,6 @@ class Runner:
         exceptions so the run can keep accounting."""
         workdir = os.path.join(run_dir, "tasks", task.id)
         try:
-            if os.path.exists(workdir):
-                shutil.rmtree(workdir)
             os.makedirs(workdir)
 
             staged: list[StagedInput] = []

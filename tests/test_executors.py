@@ -44,9 +44,9 @@ def test_local_success(tmp_path):
 
 def test_local_captures_streams(tmp_path):
     spec = spec_for(tmp_path / "w", ["sh", "-c", "echo to-out; echo to-err >&2"])
-    outcome = LocalExecutor().execute(spec)
-    assert open(outcome.stdout_path).read() == "to-out\n"
-    assert open(outcome.stderr_path).read() == "to-err\n"
+    assert LocalExecutor().execute(spec).success
+    assert (tmp_path / "w" / "stdout.txt").read_text() == "to-out\n"
+    assert (tmp_path / "w" / "stderr.txt").read_text() == "to-err\n"
 
 
 def test_local_failure_exit_code(tmp_path):
@@ -269,6 +269,43 @@ def test_remote_missing_output_stays_absent(tmp_path):
     outcome = executor.execute(spec)
     assert not outcome.success and "MissingOutput" in outcome.error
     assert not (w / "never.txt").exists()
+
+
+def test_remote_missing_command_fails_as_on_local(tmp_path):
+    executor, ws = remote_pair(tmp_path)
+    spec = spec_for(tmp_path / "w", ["/no/such/interpreter-xyz"])
+    remote, local = executor.execute(spec), LocalExecutor().execute(spec)
+    assert (remote.exit_code, remote.error) == (local.exit_code, local.error)
+    assert local.exit_code == 127 and local.error.startswith("spawn failure: ")
+
+
+@pytest.mark.parametrize("script,output", [
+    # n files into a directory: a rerun with n=1 must not keep f1
+    ("mkdir d; i=0; while [ $i -lt {inputs.n} ]; do"
+     " echo $i > d/f$i; i=$((i+1)); done", {"type": "directory", "path": "d"}),
+    # a file only for n=2: a rerun with n=1 must miss it
+    ("test {inputs.n} -lt 2 || echo x > f", {"type": "file", "path": "f"}),
+])
+def test_remote_rerun_sees_no_output_of_an_earlier_run(tmp_path, script, output):
+    doc = {"name": "rerun", "params": {"n": {"type": "integer"}},
+           "processes": [{"id": "t", "command": ["sh", "-c", script],
+                          "inputs": {"n": {"type": "integer", "from": "params.n"}},
+                          "outputs": {"o": output}}]}
+    flat = flatten(parse_workflow(json.dumps(doc)), WorkflowLoader(),
+                   str(tmp_path))
+    seen = {}
+    for name in ("local", "remote:loopback"):
+        ws = str(tmp_path / name.replace(":", "-"))
+        os.makedirs(ws)
+        runner = Runner(ws, executor=make_executor(name, ws))
+        seen[name] = []
+        for n in (2, 1):
+            state = runner.run(build_graph(flat, {"n": n}),
+                               Policy.RECOMPUTE).states["t"]
+            seen[name].append((state.state, state.file_digests, state.error))
+    assert seen["local"][1][0] == ("succeeded" if output["path"] == "d"
+                                   else "failed")
+    assert seen["remote:loopback"] == seen["local"]
 
 
 def test_loopback_paths_stay_under_the_transport_root(tmp_path):

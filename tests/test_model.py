@@ -1,4 +1,4 @@
-"""Workflow parsing, typing, serialization, flattening, validation."""
+"""Workflow parsing, typing, flattening, validation."""
 
 import json
 import os
@@ -8,9 +8,8 @@ import pytest
 
 from flowforge.model import (EnvSpec, FlattenError, ParseError, WorkflowLoader,
                              check_value, flatten, param_ref, parse_type,
-                             parse_workflow, render_value_text,
-                             serialize_workflow, split_ref, types_compatible,
-                             validate)
+                             parse_workflow, render_value_text, split_ref,
+                             types_compatible, validate)
 from conftest import NEGATIVE_DIR, USECASE_DIR
 
 
@@ -120,12 +119,6 @@ outputs:
     wf = parse_workflow(text)
     assert wf.processes[0].id == "only"
     assert wf.processes[0].outputs["out"].path == "out.txt"
-
-
-def test_serialize_round_trip():
-    wf, _ = load_usecase()
-    again = parse_workflow(serialize_workflow(wf))
-    assert again == wf
 
 
 @pytest.mark.parametrize("mutate,message", [

@@ -57,12 +57,11 @@ def test_record_builds_document():
     assert doc.workflow_digest == "w" * 64
     assert not doc.incomplete
     assert [r.task for r in doc.records] == ["gen", "use"]
-    gen = doc.record_for("gen")
+    gen, use = doc.records
     assert gen.action == "Execute"
     assert gen.output_files == {"out": "1" * 64}
     assert gen.started == "2026-08-19T00:00:01+00:00"
     assert gen.finished == "2026-08-19T00:00:02+00:00"
-    use = doc.record_for("use")
     assert use.input_sources == {"x": "gen.out"}
     assert doc.workflow_outputs == {
         "final": {"task": "use", "port": "out", "digest": "2" * 64}}
@@ -91,11 +90,11 @@ def test_actions_for_states():
         ("run-finished", None, {"state": "failed"}),
     ])
     doc = record(events)
-    actions = {r.task: r.action for r in doc.records}
-    assert actions == {"a": "Execute", "b": "LinkCached",
-                       "c": "Blocked", "d": "Aborted"}
-    assert doc.record_for("a").exit_code == 3
-    assert doc.record_for("b").cached_from == "r-old"
+    records = {r.task: r for r in doc.records}
+    assert {t: r.action for t, r in records.items()} == {
+        "a": "Execute", "b": "LinkCached", "c": "Blocked", "d": "Aborted"}
+    assert records["a"].exit_code == 3
+    assert records["b"].cached_from == "r-old"
 
 
 def test_skipped_tasks_carry_no_record():

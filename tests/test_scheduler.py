@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import sys
 import tempfile
 import threading
@@ -185,6 +186,63 @@ def test_resume_after_mid_chain_failure(tmp_path):
     assert (ws / "c3.txt").read_text() == "c1\n"
 
 
+class WritingExecutor:
+    """In-process executor: writes each declared file output, or exits 3
+    for a task in `failing`."""
+
+    name = "writing"
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def execute(self, spec):
+        if spec.task_id in self.failing:
+            return executors.collect_outcome(spec, 3)
+        for out in spec.outputs:
+            with open(os.path.join(spec.workdir, out.path), "w") as fh:
+                fh.write(spec.task_id)
+        return executors.collect_outcome(spec, 0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_stopped_run_settles_blocked_below_failures_else_aborted(tmp_path, seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    names = ["t%d" % i for i in rng.sample(range(n), n)]  # ids not in topo order
+    deps = {names[i]: [names[j] for j in range(i) if rng.random() < 0.4]
+            for i in range(n)}
+    failing = set(rng.sample(names, rng.randint(1, 2)))
+    doc = {"name": "dag", "processes": [
+        {"id": tid, "command": ["true"],
+         "inputs": {"i" + dep: {"type": "file", "from": dep + ".o"}
+                    for dep in deps[tid]},
+         "outputs": {"o": {"type": "file", "path": tid + ".txt"}}}
+        for tid in names]}
+    result = run_once(tmp_path / "ws", graph_for(tmp_path, doc),
+                      Policy.RECOMPUTE, jobs=rng.choice([1, 2]),
+                      executor=WritingExecutor(failing))
+    states = {t: r.state for t, r in result.states.items()}
+    failed = {t for t, s in states.items() if s == "failed"}
+    assert failed and failed <= failing
+    below, frontier = set(), list(failed)  # reachable from a failed task
+    while frontier:
+        tid = frontier.pop()
+        for child in (c for c in names if tid in deps[c]):
+            if child not in below:
+                below.add(child)
+                frontier.append(child)
+    events = read_journal(str(tmp_path / "ws"), result.run_id)
+    started = set(started_tasks(events))
+    assert {t for t, s in states.items() if s == "blocked"} == below
+    assert {t for t, s in states.items() if s == "aborted"} == \
+        set(names) - started - below
+    # the wind-down settles last, in ascending id, in journal and results
+    finished = [e.task for e in events if e.kind == "task-finished"]
+    wound = sorted(set(names) - started)
+    assert finished[len(names) - len(wound):] == wound
+    assert list(result.states)[len(names) - len(wound):] == wound
+
+
 def test_run_id_collision_rejected(tmp_path):
     ws = tmp_path / "ws"
     graph = graph_for(tmp_path, two_chains())
@@ -260,7 +318,7 @@ def test_decide_action_matrix(tmp_path):
     digest = cache.put_blob(str(src))
     cache.put_entry(CacheEntry(fp, "r-prior", {"o": digest}, {}))
     action = decide_action(task, Policy.LINK, cache, ws)
-    assert action.kind == "link" and action.cached_from == "r-prior"
+    assert action.kind == "link" and action.entry.run_id == "r-prior"
 
     # update: stamp + outputs present skips; either missing executes
     assert decide_action(task, Policy.UPDATE, cache, ws).kind == "execute"
