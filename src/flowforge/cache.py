@@ -9,10 +9,13 @@ hashes a file while reading it, into memory when it fits in one read
 chunk and into a temp file otherwise, then installs the bytes read by
 atomic rename under their digest, so a blob's name is its content's
 hash even if the source changes meanwhile. Content that is already
-stored and fits in a chunk costs no create. Temp files are named for
-their writer (process, thread and call), so concurrent writers never
-share one. A blob's temp file is created read-only: stored blobs are
-read-only because task sandboxes and linked workspaces hard-link them.
+stored and fits in a chunk costs no create. Every other small file the
+engine keeps (entries, stamps, provenance, spool states) is replaced
+whole through replace_file. Temp files are dot-files named for the
+target and their writer (process, thread and call), so concurrent
+writers never share one and no listing of records sees them. A blob's
+temp file is created read-only: stored blobs are read-only because
+task sandboxes and linked workspaces hard-link them.
 A blob already stored is never rewritten, so those links keep sharing
 its one inode. Directories are made on the first write that misses
 them, not checked before each write. Directory outputs are stored as a
@@ -99,7 +102,6 @@ class CacheStore:
         self.root = os.fspath(root)
         self.objects_dir = os.path.join(self.root, "objects")
         self.tasks_dir = os.path.join(self.root, "tasks")
-        self._temp_serial = itertools.count()
 
     # -- blobs ------------------------------------------------------------
 
@@ -124,7 +126,7 @@ class CacheStore:
             data = buf.getvalue()
         if data is not None and self.has_blob(digest):
             return digest
-        tmp, fd = self._create_temp(self.objects_dir, ".ingest-", BLOB_MODE)
+        tmp, fd = _create_temp(self.objects_dir, "ingest", BLOB_MODE)
         try:
             with os.fdopen(fd, "wb") as fh:
                 if data is not None:
@@ -159,24 +161,6 @@ class CacheStore:
                 link_file(path, os.path.join(dest, path[len(root):].lstrip(os.sep)))
             return digest
         return self.put_blob(canon_bytes(tree_manifest(root, member)))
-
-    def _create_temp(self, directory: str, prefix: str, mode: int):
-        """(path, fd) of a new file in `directory`, open for writing and
-        named for this process, thread and call, so no other writer uses
-        it. `directory` is made only when the first create misses it."""
-        made = False
-        while True:
-            path = os.path.join(directory, "%s%d-%d-%d" % (
-                prefix, os.getpid(), threading.get_ident(), next(self._temp_serial)))
-            try:
-                return path, os.open(path, _NEW_FILE, mode)
-            except FileNotFoundError:
-                if made:
-                    raise
-                os.makedirs(directory, exist_ok=True)
-                made = True
-            except FileExistsError:
-                pass  # left by a dead writer that had this pid and thread id
 
     def open_blob(self, digest: str):
         """The blob, open unbuffered: a read of n bytes reads n, no more."""
@@ -237,27 +221,17 @@ class CacheStore:
         if not entry.created:
             entry = CacheEntry(entry.fingerprint, entry.run_id,
                                entry.file_outputs, entry.value_outputs, _utcnow())
-        tmp, fd = self._create_temp(self.tasks_dir, ".entry-", 0o666)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry.to_data(), fh, indent=1)
-                fh.write("\n")
-            os.replace(tmp, self.entry_path(entry.fingerprint))
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
-            raise
+        replace_file(self.entry_path(entry.fingerprint),
+                     (json.dumps(entry.to_data(), indent=1) + "\n").encode())
 
     def get_entry(self, fingerprint: str) -> CacheEntry | None:
         """Fetch a verified entry, or None. An entry whose blobs are
         missing or unparseable is corrupt: warn and treat as a miss."""
-        path = self.entry_path(fingerprint)
         try:
-            with open(path, encoding="utf-8") as fh:
-                entry = CacheEntry.from_data(json.load(fh))
+            entry = _read_entry(self.entry_path(fingerprint))
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             log.warning("cache entry %s unreadable (%s); treating as miss",
                         fingerprint, exc)
             return None
@@ -269,16 +243,16 @@ class CacheStore:
         return entry
 
     def entries(self):
-        try:
-            names = sorted(os.listdir(self.tasks_dir))
-        except OSError:
-            return
-        for name in names:
-            if not name.endswith(".json") or name.startswith("."):
-                continue
-            entry = self.get_entry(name[:-len(".json")])
+        for fingerprint, _ in self._entry_files():
+            entry = self.get_entry(fingerprint)
             if entry is not None:
                 yield entry
+
+    def _entry_files(self):
+        """(fingerprint, path) of each stored entry, in name order."""
+        for name in sorted(_listdir_or_empty(self.tasks_dir)):
+            if name.endswith(".json") and not name.startswith("."):
+                yield name[:-len(".json")], os.path.join(self.tasks_dir, name)
 
     # -- garbage collection ------------------------------------------------
 
@@ -309,19 +283,12 @@ class CacheStore:
         try:
             report = GcReport()
             roots = set(keep_blobs)
-            for name in sorted(_listdir_or_empty(self.tasks_dir)):
-                if not name.endswith(".json") or name.startswith("."):
-                    continue
-                fingerprint = name[:-len(".json")]
-                path = os.path.join(self.tasks_dir, name)
+            for fingerprint, path in self._entry_files():
                 try:
-                    with open(path, encoding="utf-8") as fh:
-                        entry = CacheEntry.from_data(json.load(fh))
-                except (json.JSONDecodeError, KeyError, TypeError, OSError):
-                    os.unlink(path)
-                    report.removed_entries.append(fingerprint)
-                    continue
-                if entry.run_id in keep_runs:
+                    entry = _read_entry(path)
+                except (ValueError, KeyError, TypeError, OSError):
+                    entry = None
+                if entry is not None and entry.run_id in keep_runs:
                     report.kept_entries += 1
                     roots.update(entry.file_outputs.values())
                 else:
@@ -344,6 +311,51 @@ class CacheStore:
             return report
         finally:
             os.unlink(lock)
+
+
+_temp_serial = itertools.count()
+
+
+def _create_temp(directory: str, name: str, mode: int):
+    """(path, fd) of a new file `.<name>.<pid>-<tid>-<n>` in `directory`,
+    open for writing and named for this process, thread and call, so no
+    other writer uses it. `directory` is made only when the first create
+    misses it."""
+    made = False
+    while True:
+        path = os.path.join(directory, ".%s.%d-%d-%d" % (
+            name, os.getpid(), threading.get_ident(), next(_temp_serial)))
+        try:
+            return path, os.open(path, _NEW_FILE, mode)
+        except FileNotFoundError:
+            if made:
+                raise
+            os.makedirs(directory, exist_ok=True)
+            made = True
+        except FileExistsError:
+            pass  # left by a dead writer that had this pid and thread id
+
+
+def replace_file(path: str, data: bytes):
+    """Replace `path` with `data` by atomic rename of a temp file beside
+    it, created with the mode a plain open() gives. Readers see the old
+    bytes or the new, never a part."""
+    tmp, fd = _create_temp(os.path.dirname(path), os.path.basename(path), 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _read_entry(path: str) -> CacheEntry:
+    """The entry stored at `path`. Raises OSError, or ValueError, KeyError
+    or TypeError for bytes that are no entry."""
+    with open(path, encoding="utf-8") as fh:
+        return CacheEntry.from_data(json.load(fh))
 
 
 def link_file(src: str, dest: str):

@@ -87,6 +87,14 @@ def spawn(argv, cwd: str | None, stdout_path: str,
     return proc.returncode, None
 
 
+def artifact_present(root: str, decl) -> bool:
+    """Whether the file or directory that `decl` (an OutputDecl or
+    OutputSpec) declares exists at its path under `root`."""
+    full = os.path.join(root, decl.path.replace("/", os.sep))
+    is_dir = decl.type.kind == "directory"
+    return os.path.isdir(full) if is_dir else os.path.isfile(full)
+
+
 def collect_outcome(spec: TaskSpec, exit_code: int, error: str | None = None) -> Outcome:
     """Observe a finished command: check that the declared artifacts
     exist, parse and type-check the value manifest.
@@ -101,13 +109,9 @@ def collect_outcome(spec: TaskSpec, exit_code: int, error: str | None = None) ->
         return outcome
 
     for out in spec.outputs:
-        if out.path is None:
-            continue
-        full = os.path.join(spec.workdir, out.path.replace("/", os.sep))
-        is_dir = out.type.kind == "directory"
-        if not (os.path.isdir(full) if is_dir else os.path.isfile(full)):
+        if out.path is not None and not artifact_present(spec.workdir, out):
             outcome.error = "MissingOutput(%s): expected %s %s" % (
-                out.port, "directory" if is_dir else "file", out.path)
+                out.port, out.type.kind, out.path)
             return outcome
 
     value_ports = spec.value_ports
@@ -120,7 +124,7 @@ def collect_outcome(spec: TaskSpec, exit_code: int, error: str | None = None) ->
         try:
             with open(manifest_path, encoding="utf-8") as fh:
                 manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bytes that are no UTF-8
             outcome.error = "BadValue(%s): manifest unparseable: %s" % (
                 value_ports[0].port, exc)
             return outcome

@@ -17,12 +17,12 @@ import itertools
 import os
 import shlex
 import sys
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from ..cache import replace_file
 from . import (Outcome, STDERR_NAME, STDOUT_NAME, TaskSpec, collect_outcome,
                spawn)
 
@@ -78,25 +78,16 @@ class MockBatchBackend:
         # Zero-padded nanosecond prefix keeps lexicographic order FIFO.
         job_id = "%020d-%06d" % (time.time_ns(), next(self._seq) % 1000000)
         script_path, state_path = self._paths(job_id)
-        fd, tmp = tempfile.mkstemp(dir=self.spool_dir, prefix=".submit-")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(script)
+        # The state first: a runner takes up a script once it appears.
         _write_state(state_path, "pending")
-        os.replace(tmp, script_path)
+        replace_file(script_path, script.encode())
         return job_id
 
     def poll(self, job_id: str) -> BatchJobState:
-        _, state_path = self._paths(job_id)
-        try:
-            with open(state_path, encoding="utf-8") as fh:
-                raw = fh.read().strip()
-        except OSError:
-            return BatchJobState("lost")
-        if raw == "pending":
-            return BatchJobState("pending")
-        if raw == "running":
-            return BatchJobState("running")
-        if raw.startswith("done:"):
+        raw = _read_state(self._paths(job_id)[1])
+        if raw in ("pending", "running"):
+            return BatchJobState(raw)
+        if raw is not None and raw.startswith("done:"):
             try:
                 return BatchJobState("done", int(raw.split(":", 1)[1]))
             except ValueError:
@@ -114,10 +105,16 @@ class MockBatchBackend:
 
 
 def _write_state(path: str, value: str):
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".state-")
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write(value + "\n")
-    os.replace(tmp, path)
+    replace_file(path, (value + "\n").encode())
+
+
+def _read_state(path: str) -> str | None:
+    """The phase a job's state file holds, or None if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().strip()
+    except (OSError, ValueError):
+        return None
 
 
 def run_spool(spool_dir: str, concurrency: int = 1, drain: bool = False,
@@ -150,14 +147,8 @@ def run_spool(spool_dir: str, concurrency: int = 1, drain: bool = False,
                 if not name.endswith(".sh") or name.startswith("."):
                     continue
                 job_id = name[:-3]
-                state_path = os.path.join(spool_dir, job_id + ".state")
-                try:
-                    with open(state_path, encoding="utf-8") as fh:
-                        if fh.read().strip() != "pending":
-                            continue
-                except OSError:
-                    continue
-                pending.append(job_id)
+                if _read_state(os.path.join(spool_dir, job_id + ".state")) == "pending":
+                    pending.append(job_id)
 
             claimed = False
             for job_id in pending:

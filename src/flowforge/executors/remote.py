@@ -16,6 +16,7 @@ import os
 import posixpath
 import shutil
 
+from ..cache import replace_file
 from ..canon import regular_files
 from . import (MANIFEST_NAME, Outcome, STDERR_NAME, STDOUT_NAME, TaskSpec,
                collect_outcome, spawn)
@@ -151,8 +152,6 @@ class RemoteExecutor:
         except TransportError as exc:
             exit_code, error = -1, "transport failure: %s" % exc
 
-        path = os.path.join(spec.workdir, TRANSFER_LOG)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"in": staged_in, "out": staged_out}, fh, indent=1)
-            fh.write("\n")
+        replace_file(os.path.join(spec.workdir, TRANSFER_LOG), (json.dumps(
+            {"in": staged_in, "out": staged_out}, indent=1) + "\n").encode())
         return collect_outcome(spec, exit_code, error)

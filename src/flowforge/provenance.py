@@ -9,11 +9,9 @@ scan every run document.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import re
-import threading
 from dataclasses import dataclass, field
 
 from .model import FlatWorkflow, ProcessDef
@@ -217,25 +215,10 @@ def doc_path(runs_dir: str, run_id: str) -> str:
     return os.path.join(runs_dir, run_id, PROV_NAME)
 
 
-def write_json(path: str, data, indent=None):
-    """Replace `path` with `data` as one JSON line, or indented, by
-    atomic rename. The temp file is named for this process and thread,
-    so concurrent writers of one path never share it, and is created
-    with the mode a plain open() gives."""
-    tmp = "%s.%d-%d.tmp" % (path, os.getpid(), threading.get_ident())
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=indent)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-
-
 def write_doc(run_dir: str, doc: ProvenanceDoc):
-    write_json(os.path.join(run_dir, PROV_NAME), doc.to_data(), indent=2)
+    from .cache import replace_file
+    replace_file(os.path.join(run_dir, PROV_NAME),
+                 (json.dumps(doc.to_data(), indent=2) + "\n").encode())
 
 
 def load_doc(runs_dir: str, run_id: str) -> ProvenanceDoc:
@@ -253,7 +236,7 @@ def iter_docs(runs_dir: str):
     for run_id in run_ids:
         try:
             yield load_doc(runs_dir, run_id)
-        except (OSError, json.JSONDecodeError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError):
             continue
 
 
@@ -270,8 +253,9 @@ def update_index(runs_dir: str, doc: ProvenanceDoc):
             _fold_into_index(index, existing)
     else:
         _fold_into_index(index, doc)
-    write_json(os.path.join(runs_dir, INDEX_NAME),
-               {"schema": PROV_SCHEMA, "artifacts": index})
+    from .cache import replace_file
+    replace_file(os.path.join(runs_dir, INDEX_NAME), (json.dumps(
+        {"schema": PROV_SCHEMA, "artifacts": index}) + "\n").encode())
 
 
 def _read_index(runs_dir: str) -> dict | None:
@@ -282,7 +266,7 @@ def _read_index(runs_dir: str) -> dict | None:
         if not isinstance(artifacts, dict):
             return None
         return artifacts
-    except (OSError, json.JSONDecodeError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError):
         return None
 
 
@@ -305,10 +289,6 @@ class LineageResult:
     digest: str
     tasks: list  # sorted (run_id, task_id) pairs
     artifacts: list  # sorted digests participating in the derivation
-
-    @property
-    def task_ids(self) -> set:
-        return {task for _, task in self.tasks}
 
     @property
     def found(self) -> bool:

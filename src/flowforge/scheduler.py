@@ -46,9 +46,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import provenance, runstate
-from .cache import CacheEntry, CacheError, CacheStore, link_file
+from .cache import CacheEntry, CacheError, CacheStore, link_file, replace_file
 from .canon import file_digest
-from .executors import OutputSpec, StagedInput, TaskSpec
+from .executors import OutputSpec, StagedInput, TaskSpec, artifact_present
 from .executors.local import LocalExecutor
 from .model import env_to_data
 from .planner import (
@@ -139,7 +139,7 @@ def read_stamp(workspace: str, task_id: str) -> dict | None:
     try:
         with open(stamp_path(workspace, task_id), encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return None
     if not isinstance(data, dict) or "fingerprint" not in data:
         return None
@@ -150,21 +150,8 @@ def read_stamp(workspace: str, task_id: str) -> dict | None:
 
 def write_stamp(workspace: str, task_id: str, fingerprint: str,
                 files: dict, values: dict):
-    path = stamp_path(workspace, task_id)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    provenance.write_json(
-        path, {"fingerprint": fingerprint, "files": files, "values": values})
-
-
-def _outputs_present(task: TaskInstance, workspace: str) -> bool:
-    for port, rel in task.file_output_paths.items():
-        full = os.path.join(workspace, rel.replace("/", os.sep))
-        if task.output_decls[port].type.kind == "directory":
-            if not os.path.isdir(full):
-                return False
-        elif not os.path.isfile(full):
-            return False
-    return True
+    data = {"fingerprint": fingerprint, "files": files, "values": values}
+    replace_file(stamp_path(workspace, task_id), (json.dumps(data) + "\n").encode())
 
 
 def decide_action(task: TaskInstance, policy: Policy, cache: CacheStore,
@@ -183,7 +170,8 @@ def decide_action(task: TaskInstance, policy: Policy, cache: CacheStore,
     # update
     stamp = read_stamp(workspace, task.id)
     if stamp is not None and stamp["fingerprint"] == fp \
-            and _outputs_present(task, workspace):
+            and all(artifact_present(workspace, decl)
+                    for decl in task.output_decls.values() if decl.path is not None):
         return TaskAction("skip", fp, stamp=stamp)
     return TaskAction("execute", fp, stamp=stamp)
 
@@ -283,9 +271,7 @@ class Runner:
         if os.path.exists(run_dir):
             raise SchedulerError("run directory already exists: %s" % run_dir)
         os.makedirs(run_dir)
-        with open(os.path.join(run_dir, runstate.PID_NAME), "w",
-                  encoding="utf-8") as fh:
-            fh.write("%d\n" % os.getpid())
+        replace_file(os.path.join(run_dir, runstate.PID_NAME), b"%d\n" % os.getpid())
         started = time.monotonic()
 
         self._ingest_external_inputs(graph)
@@ -298,7 +284,7 @@ class Runner:
             "policy": policy.value,
             "jobs": self.jobs,
             "keep_going": self.keep_going,
-            "executor": getattr(self.executor, "name", "local"),
+            "executor": self.executor.name,
             "workflow": meta.get("workflow"),
             "workflow_digest": meta.get("workflow_digest"),
             "params": meta.get("params", {}),
@@ -351,7 +337,7 @@ class Runner:
                     tid, resolved, fp = heapq.heappop(runnable)
                     journal.append("task-started", tid, {
                         "fingerprint": fp,
-                        "executor": getattr(self.executor, "name", "local"),
+                        "executor": self.executor.name,
                     })
                     futures[pool.submit(self._execute_task, resolved, fp,
                                         run_dir)] = resolved
@@ -633,7 +619,7 @@ class Runner:
             "error": result.error,
             "env": task.env_fingerprint,
             "env_spec": env_to_data(task.env_spec),
-            "executor": getattr(self.executor, "name", "local"),
+            "executor": self.executor.name,
             "inputs": {
                 "literals": literal_inputs,
                 "files": input_files,

@@ -1,0 +1,73 @@
+"""Every small file the engine keeps is replaced through one writer,
+cache.replace_file, and CacheStore.put_blob alone installs blobs. No
+linter is installed, so the check is written here with the standard
+library, as in test_unused_imports.py."""
+
+import ast
+import os
+
+import flowforge
+
+PACKAGE = os.path.dirname(os.path.abspath(flowforge.__file__))
+
+# (module path within the package, qualified function) that may rename
+# a file into place
+RENAMERS = {("cache.py", "replace_file"), ("cache.py", "CacheStore.put_blob")}
+
+
+def modules():
+    """(module path within the package, syntax tree) of each module."""
+    for dirpath, dirnames, filenames in os.walk(PACKAGE):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8") as fh:
+                    yield (os.path.relpath(path, PACKAGE).replace(os.sep, "/"),
+                           ast.parse(fh.read(), filename=path))
+
+
+def rename_sites(tree) -> list[str]:
+    """The qualified name of the function around each use of os.replace
+    or os.rename, or of an import of either ("" at module level)."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in ("replace", "rename")
+                    and isinstance(child.value, ast.Name) and child.value.id == "os"):
+                sites.append(".".join(scope))
+            if isinstance(child, ast.ImportFrom) and child.module == "os" and any(
+                    alias.name in ("replace", "rename") for alias in child.names):
+                sites.append(".".join(scope))
+            visit(child, scope)
+    visit(tree, [])
+    return sites
+
+
+def imports_tempfile(tree) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "tempfile" for name in names):
+            return True
+    return False
+
+
+def test_only_replace_file_and_put_blob_rename_files_into_place():
+    assert rename_sites(ast.parse(
+        "class A:\n    def f(self):\n        g(os.replace)\n")) == ["A.f"]
+    found = {(rel, site) for rel, tree in modules() for site in rename_sites(tree)}
+    assert found == RENAMERS
+
+
+def test_no_module_imports_tempfile():
+    assert imports_tempfile(ast.parse("def f():\n    from tempfile import mkstemp\n"))
+    assert [rel for rel, tree in modules() if imports_tempfile(tree)] == []

@@ -7,6 +7,8 @@ import time
 
 import pytest
 
+from flowforge.cache import CacheEntry, CacheStore
+from flowforge.executors.batch import _read_state, _write_state
 from flowforge.model import WorkflowLoader, flatten, parse_workflow
 from flowforge.provenance import (ProvenanceDoc, TaskProvRecord, export_dot,
                                   lineage, load_doc, record, update_index,
@@ -162,13 +164,13 @@ def test_lineage_walks_files_values_and_runs(tmp_path):
     # from the terminal artifact back through both runs
     result = lineage(str(runs), "3" * 64)
     assert result.found
-    assert set(result.task_ids) == {"refine", "use", "gen"}
+    assert {t for _, t in result.tasks} == {"refine", "use", "gen"}
     assert set(result.artifacts) >= {"3" * 64, "2" * 64, "1" * 64}
     # a root artifact implicates only its producer
-    assert set(lineage(str(runs), "1" * 64).task_ids) == {"gen"}
+    assert {t for _, t in lineage(str(runs), "1" * 64).tasks} == {"gen"}
     # unknown digests come back empty
     missing = lineage(str(runs), "f" * 64)
-    assert not missing.found and missing.task_ids == set()
+    assert not missing.found and {t for _, t in missing.tasks} == set()
 
 
 def test_lineage_crosses_value_edges(tmp_path):
@@ -194,7 +196,7 @@ def test_lineage_crosses_value_edges(tmp_path):
     store_doc(runs, record(events))
     result = lineage(str(runs), "9" * 64)
     # the value-only edge still pulls the producing task in
-    assert set(result.task_ids) == {"macro", "sim"}
+    assert {t for _, t in result.tasks} == {"macro", "sim"}
 
 
 # -- DOT export ----------------------------------------------------------------
@@ -293,29 +295,47 @@ def test_checker_rejects_malformed(bad):
 
 # -- atomic writes ---------------------------------------------------------------
 
+def load_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# writer(root) -> (write, the path it replaces, a reader of that path)
 def stamp_writer(root):
     return (lambda: write_stamp(str(root), "t", "f" * 64, {}, {}),
-            stamp_path(str(root), "t"))
+            stamp_path(str(root), "t"), load_json)
 
 
 def doc_writer(root):
     root.mkdir()
     return (lambda: write_doc(str(root), ProvenanceDoc("r1")),
-            str(root / "provenance.json"))
+            str(root / "provenance.json"), load_json)
 
 
 def index_writer(root):
     root.mkdir()
     return (lambda: update_index(str(root), ProvenanceDoc("r1")),
-            str(root / "index.json"))
+            str(root / "index.json"), load_json)
 
 
-@pytest.mark.parametrize("writer", [stamp_writer, doc_writer, index_writer])
+def entry_writer(root):
+    store = CacheStore(str(root))
+    entry = CacheEntry("f" * 64, "r1", {}, {"n": 1})
+    return (lambda: store.put_entry(entry), store.entry_path("f" * 64), load_json)
+
+
+def state_writer(root):
+    path = str(root / "job.state")
+    return lambda: _write_state(path, "pending"), path, _read_state
+
+
+@pytest.mark.parametrize("writer", [stamp_writer, doc_writer, index_writer,
+                                    entry_writer, state_writer])
 def test_concurrent_writers_of_one_file_use_their_own_temp_files(
         tmp_path, monkeypatch, writer):
     """A second thread writes the same file while the first has written
     its temp file but not yet renamed it into place."""
-    write, target = writer(tmp_path / "root")
+    write, target, read = writer(tmp_path / "root")
     real_replace = os.replace
     errors, others = [], []
 
@@ -337,8 +357,7 @@ def test_concurrent_writers_of_one_file_use_their_own_temp_files(
     write()
     assert others and not errors
     assert os.listdir(os.path.dirname(target)) == [os.path.basename(target)]
-    with open(target, encoding="utf-8") as fh:
-        json.load(fh)
+    assert read(target)
     plain = tmp_path / "plain"
     plain.write_text("")
     assert os.stat(target).st_mode == os.stat(plain).st_mode
@@ -350,6 +369,34 @@ def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
         write_stamp(str(tmp_path), "t", "b" * 64, {}, {"v": object()})
     assert read_stamp(str(tmp_path), "t")["fingerprint"] == "a" * 64
     assert os.listdir(tmp_path / ".flowforge" / "stamps") == ["t"]
+
+
+@pytest.mark.parametrize("reader", ["get_entry", "entries", "gc", "read_stamp",
+                                    "lineage"])
+def test_a_record_with_undecodable_bytes_is_ignored(tmp_path, reader):
+    """A byte that is no UTF-8 makes a record unreadable, as bad JSON
+    does: its reader passes over it (gc removes it) and does not raise."""
+    store = CacheStore(str(tmp_path / "cache"))
+    store.put_entry(CacheEntry("e" * 64, "r1", {}, {}))
+    write_stamp(str(tmp_path), "t", "f" * 64, {}, {})
+    runs = tmp_path / "runs"
+    store_doc(runs, ProvenanceDoc("r1", records=[
+        TaskProvRecord("t", "Execute", output_files={"o": "1" * 64})]))
+    for path in (store.entry_path("e" * 64), stamp_path(str(tmp_path), "t"),
+                 runs / "r1" / "provenance.json"):
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")
+    if reader == "get_entry":
+        assert store.get_entry("e" * 64) is None
+    elif reader == "entries":
+        assert list(store.entries()) == []
+    elif reader == "gc":
+        assert store.gc({"r1"}).removed_entries == ["e" * 64]
+        assert not os.path.exists(store.entry_path("e" * 64))
+    elif reader == "read_stamp":
+        assert read_stamp(str(tmp_path), "t") is None
+    else:
+        assert not lineage(str(runs), "1" * 64).found
 
 
 def test_lineage_is_linear_in_chain_length(tmp_path):

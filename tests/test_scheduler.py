@@ -154,6 +154,27 @@ def test_keep_going_finishes_independent_work(tmp_path):
     assert not result.ok
 
 
+def test_an_undecodable_value_manifest_fails_only_its_task(tmp_path):
+    """Bytes that are no UTF-8 in outputs.json are a bad value, as bad
+    JSON is: the task fails and an independent task still runs."""
+    doc = {
+        "name": "undecodable",
+        "processes": [
+            {"id": "bad", "command": ["sh", "-c", "printf '\\377\\376' > outputs.json"],
+             "outputs": {"n": {"type": "integer"}}},
+            {"id": "good", "command": ["sh", "-c", "echo ok > {outputs.o}"],
+             "outputs": {"o": {"type": "file", "path": "good.txt"}}},
+        ],
+        "outputs": {"n": "bad.n", "o": "good.o"},
+    }
+    ws = tmp_path / "ws"
+    result = run_once(ws, graph_for(tmp_path, doc), Policy.RECOMPUTE, keep_going=True)
+    states = {t: r.state for t, r in result.states.items()}
+    assert states == {"bad": "failed", "good": "succeeded"}
+    assert result.states["bad"].error.startswith("BadValue(n): manifest unparseable")
+    assert finished_states(read_journal(str(ws), result.run_id)) == states
+
+
 def test_resume_after_mid_chain_failure(tmp_path):
     doc = {
         "name": "resume",
