@@ -39,7 +39,6 @@ import os
 import shutil
 import threading
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 from .canon import (CHUNK, MANIFEST_HEAD, canon_bytes, canon_decode,
                     file_digest, tree_manifest)
@@ -64,7 +63,6 @@ class CacheEntry:
     run_id: str
     file_outputs: dict[str, str]  # port -> blob digest (tree digest for dirs)
     value_outputs: dict[str, object]
-    created: str = ""
 
     def to_data(self) -> dict:
         return {
@@ -72,13 +70,12 @@ class CacheEntry:
             "run": self.run_id,
             "files": dict(self.file_outputs),
             "values": dict(self.value_outputs),
-            "created": self.created,
         }
 
     @classmethod
     def from_data(cls, data: dict) -> "CacheEntry":
         return cls(data["fingerprint"], data["run"], dict(data["files"]),
-                   dict(data["values"]), data.get("created", ""))
+                   dict(data["values"]))
 
 
 @dataclass
@@ -87,10 +84,6 @@ class GcReport:
     removed_blobs: list[str] = field(default_factory=list)
     kept_entries: int = 0
     kept_blobs: int = 0
-
-
-def _utcnow() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 class CacheStore:
@@ -218,9 +211,6 @@ class CacheStore:
         for digest in entry.file_outputs.values():
             if not self.has_blob(digest):
                 raise CacheError("entry references missing blob %s" % digest)
-        if not entry.created:
-            entry = CacheEntry(entry.fingerprint, entry.run_id,
-                               entry.file_outputs, entry.value_outputs, _utcnow())
         replace_file(self.entry_path(entry.fingerprint),
                      (json.dumps(entry.to_data(), indent=1) + "\n").encode())
 

@@ -258,26 +258,13 @@ def run(workflow, params, policy, jobs, executor, keep_going, workdir,
 
 def _params_for_journal(fw, param_values, graph) -> dict:
     """Journal-friendly param map: files as {path, digest}, values as-is."""
-    from .planner import Blob
-
     merged = dict(param_values)
     for name, decl in fw.params.items():
         if name not in merged and decl.has_default:
             merged[name] = decl.default
-    rendered: dict[str, object] = {}
-    digests: dict[str, str] = {}
-    for task in graph.tasks.values():
-        for port, binding in task.input_bindings.items():
-            if isinstance(binding, Blob) and binding.source:
-                src = task.input_sources.get(port, "")
-                if src.startswith("params."):
-                    digests[src.split(".", 1)[1]] = binding.digest
-    for name, value in merged.items():
-        if fw.params[name].type.kind in ("file", "directory"):
-            rendered[name] = {"path": str(value), "digest": digests.get(name)}
-        else:
-            rendered[name] = value
-    return rendered
+    return {name: {"path": str(value), "digest": graph.params[name].digest}
+            if fw.params[name].type.is_artifact else value
+            for name, value in merged.items()}
 
 
 def _do_run(graph, policy, executor_name, jobs, keep_going, workspace,
@@ -319,7 +306,7 @@ def status(run_id, workdir):
     run_dir = os.path.join(os.path.abspath(workdir), "runs", run_id)
     try:
         snapshot = runstate.status(run_dir)
-    except runstate.NoRunError as exc:
+    except runstate.JournalError as exc:
         raise CliError(str(exc)) from exc
     click.echo(snapshot.render())
 
@@ -366,15 +353,18 @@ def prov_export(run_id, fmt, workdir):
     runs_dir = os.path.join(os.path.abspath(workdir), "runs")
     try:
         doc = provenance.load_doc(runs_dir, run_id)
-    except (OSError, json.JSONDecodeError):
-        # No written document (live or interrupted run): derive from the
-        # journal so the command still answers.
+    except (OSError, ValueError, KeyError, TypeError):
+        # No readable document (live, interrupted or damaged run): derive
+        # it from the journal so the command still answers.
         journal = os.path.join(runs_dir, run_id, runstate.JOURNAL_NAME)
         try:
             events, _ = runstate.read_events(journal)
+            doc = provenance.record(events)
         except runstate.NoRunError as exc:
             raise CliError("no run %s under %s" % (run_id, runs_dir)) from exc
-        doc = provenance.record(events)
+        except (runstate.JournalError, ValueError) as exc:
+            raise CliError("run %s: no provenance from its journal: %s"
+                           % (run_id, exc)) from exc
     if fmt == "dot":
         click.echo(provenance.export_dot(doc), nl=False)
     else:

@@ -107,6 +107,7 @@ class TaskGraph:
     tasks: dict[str, TaskInstance]
     edges: tuple[tuple[str, str], ...]
     sinks: dict[str, tuple[str, str]]
+    params: dict[str, object]  # name -> Blob or Literal, as tasks bind it
 
     def children(self) -> dict[str, list[str]]:
         """Direct consumers of every task, in edge order."""
@@ -233,7 +234,7 @@ def build_graph(fw: FlatWorkflow, param_values: dict | None,
             raise PlanError("workflow output %r references unknown %r" % (name, ref))
         sinks[name] = (head, port)
 
-    return TaskGraph(tasks, tuple(sorted(set(edges))), sinks)
+    return TaskGraph(tasks, tuple(sorted(set(edges))), sinks, param_bindings)
 
 
 # ---------------------------------------------------------------------------

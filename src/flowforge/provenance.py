@@ -75,9 +75,13 @@ class TaskProvRecord:
 
     @classmethod
     def from_data(cls, data: dict) -> "TaskProvRecord":
-        inputs = data.get("inputs", {})
-        outputs = data.get("outputs", {})
-        env = data.get("env", {})
+        """The record in `data`, a stored document's task entry or a
+        task-finished payload with task, action and times added. Raises
+        ValueError when the record or a section of it is no mapping."""
+        data = _mapping(data, "task record")
+        inputs = _mapping(data.get("inputs", {}), "inputs")
+        outputs = _mapping(data.get("outputs", {}), "outputs")
+        env = _mapping(data.get("env", {}), "env")
         return cls(
             task=data["task"],
             action=data["action"],
@@ -95,6 +99,12 @@ class TaskProvRecord:
             exit_code=data.get("exit_code"),
             cached_from=data.get("cached_from"),
         )
+
+
+def _mapping(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError("%s is a %s, not a mapping" % (what, type(data).__name__))
+    return data
 
 
 @dataclass
@@ -159,25 +169,9 @@ def record(events) -> ProvenanceDoc:
             action = ACTION_FOR_STATE.get(state)
             if action is None:
                 continue  # skipped-up-to-date and anything unknown
-            inputs = ev.payload.get("inputs", {})
-            env = ev.payload.get("env")
-            records.append(TaskProvRecord(
-                task=ev.task,
-                action=action,
-                fingerprint=ev.payload.get("fingerprint"),
-                literal_inputs=dict(inputs.get("literals", {})),
-                input_files=dict(inputs.get("files", {})),
-                input_sources=dict(inputs.get("sources", {})),
-                output_files=dict(ev.payload.get("files", {})),
-                value_outputs=dict(ev.payload.get("values", {})),
-                env=env,
-                env_spec=ev.payload.get("env_spec"),
-                executor=ev.payload.get("executor"),
-                started=started_at.get(ev.task, ev.ts),
-                finished=ev.ts,
-                exit_code=ev.payload.get("exit_code"),
-                cached_from=ev.payload.get("cached_from"),
-            ))
+            records.append(TaskProvRecord.from_data(dict(
+                ev.payload, task=ev.task, action=action,
+                started=started_at.get(ev.task, ev.ts), finished=ev.ts)))
         elif ev.kind == "run-finished":
             saw_finish = True
 

@@ -25,7 +25,6 @@ EVENT_KINDS = ("run-started", "task-started", "task-finished", "run-finished")
 EXECUTED_STATES = frozenset({"succeeded", "failed"})
 
 JOURNAL_NAME = "events.ndjson"
-PID_NAME = "pid"
 
 
 class JournalError(Exception):
@@ -120,14 +119,15 @@ class Journal:
 def read_events(path: str):
     """Parse a journal file.
 
-    Returns (events, warnings). A malformed final line is a torn write:
+    Returns (events, warnings). Each line is decoded on its own, so a
+    malformed final line, undecodable bytes included, is a torn write:
     dropped with a warning. Malformed content anywhere else is real
     corruption and raises JournalError.
     """
     events: list[RunEvent] = []
     warnings: list[str] = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise NoRunError("cannot read journal %s" % path) from exc
@@ -136,8 +136,8 @@ def read_events(path: str):
         if not stripped:
             continue
         try:
-            events.append(RunEvent.from_doc(json.loads(stripped)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            events.append(RunEvent.from_doc(json.loads(stripped.decode("utf-8"))))
+        except (ValueError, KeyError, TypeError) as exc:
             if i == len(lines) - 1:
                 warnings.append("ignored torn trailing journal line: %s" % exc)
             else:
@@ -220,10 +220,10 @@ def _parse_ts(ts: str) -> datetime:
     return datetime.fromisoformat(ts)
 
 
-def _orphaned(pid: int | None, hostname) -> bool:
+def _orphaned(pid, hostname) -> bool:
     """True when the run started on this host and no process has its pid
     any more. A pid taken over by a new process reads as alive."""
-    if pid is None or hostname != os.uname().nodename:
+    if not isinstance(pid, int) or hostname != os.uname().nodename:
         return False
     try:
         os.kill(pid, 0)
@@ -253,13 +253,14 @@ def status(run_dir: str) -> StatusSnapshot:
     finished: set[str] = set()
     terminal = False
     run_state = None
-    hostname = None
+    hostname = pid = None
 
     for e in events:
         if e.kind == "run-started":
             tasks = list(e.payload.get("tasks", []))
             run_id = e.payload.get("run_id", run_id)
             hostname = e.payload.get("hostname")
+            pid = e.payload.get("pid")
         elif e.kind == "task-started":
             started.append(e.task)
         elif e.kind == "task-finished":
@@ -274,14 +275,6 @@ def status(run_dir: str) -> StatusSnapshot:
     known = set(started) | finished
     pending = tuple(t for t in tasks if t not in known)
 
-    pid = None
-    pid_path = os.path.join(run_dir, PID_NAME)
-    if os.path.isfile(pid_path):
-        try:
-            with open(pid_path, encoding="utf-8") as fh:
-                pid = int(fh.read().strip())
-        except (OSError, ValueError):
-            pid = None
     if not terminal and _orphaned(pid, hostname):
         terminal, run_state = True, "crashed"
 

@@ -271,7 +271,6 @@ class Runner:
         if os.path.exists(run_dir):
             raise SchedulerError("run directory already exists: %s" % run_dir)
         os.makedirs(run_dir)
-        replace_file(os.path.join(run_dir, runstate.PID_NAME), b"%d\n" % os.getpid())
         started = time.monotonic()
 
         self._ingest_external_inputs(graph)
@@ -292,6 +291,7 @@ class Runner:
             "engine": _engine_version(),
             "user": _username(),
             "hostname": socket.gethostname(),
+            "pid": os.getpid(),
         })
 
         walk = _Walk(self, graph, policy)
@@ -598,6 +598,8 @@ class Runner:
     # -- journal payloads ----------------------------------------------------
 
     def _finish_payload(self, task: TaskInstance, result: TaskResult) -> dict:
+        """The task-finished payload: `state` and `error`, and the task's
+        provenance record in the layout of docs/provenance-schema.md."""
         literal_inputs = {}
         input_files = {}
         sources = {}
@@ -609,24 +611,27 @@ class Runner:
             src = task.input_sources.get(port, "")
             if src and not src.startswith("params."):
                 sources[port] = src  # full "<producer>.<port>" ref
-        payload = {
+        return {
             "state": result.state,
-            "fingerprint": result.fingerprint,
-            "exit_code": result.exit_code,
-            "files": dict(result.file_digests),
-            "values": dict(result.value_outputs),
-            "cached_from": result.cached_from,
             "error": result.error,
-            "env": task.env_fingerprint,
-            "env_spec": env_to_data(task.env_spec),
-            "executor": self.executor.name,
+            "fingerprint": result.fingerprint,
             "inputs": {
                 "literals": literal_inputs,
                 "files": input_files,
                 "sources": sources,
             },
+            "outputs": {
+                "files": dict(result.file_digests),
+                "values": dict(result.value_outputs),
+            },
+            "env": {
+                "fingerprint": task.env_fingerprint,
+                "spec": env_to_data(task.env_spec),
+            },
+            "executor": self.executor.name,
+            "exit_code": result.exit_code,
+            "cached_from": result.cached_from,
         }
-        return payload
 
     def _write_provenance(self, run_dir: str):
         events, _ = runstate.read_events(

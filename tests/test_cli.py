@@ -163,6 +163,22 @@ def test_prov_export_json_and_dot(ws):
     assert proc.stdout.startswith("digraph {")
 
 
+def test_an_unused_file_param_is_recorded_with_its_digest(tmp_path):
+    (tmp_path / "notes.txt").write_bytes(b"notes\n")
+    wf = tmp_path / "spare.wf"
+    wf.write_text(json.dumps({
+        "formatVersion": 1, "name": "spare",
+        "params": {"notes": {"type": "file", "default": "notes.txt"}},
+        "processes": [{"id": "gen", "command": ["sh", "-c", "echo > {outputs.o}"],
+                       "outputs": {"o": {"type": "file", "path": "o.txt"}}}],
+        "outputs": {"o": "gen.o"}}))
+    ws = str(tmp_path / "ws")
+    proc = cli("run", wf, "--workdir", ws)
+    assert proc.returncode == 0, proc.stderr
+    assert load_prov(ws, run_ids(ws)[0])["params"] == {"notes": {
+        "path": "notes.txt", "digest": hashlib.sha256(b"notes\n").hexdigest()}}
+
+
 def test_prov_lineage_rejects_bad_digest(ws):
     os.makedirs(ws, exist_ok=True)
     proc = cli("prov", "lineage", "not-a-digest", "--workdir", ws)

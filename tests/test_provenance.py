@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shutil
 import threading
 import time
 
@@ -16,7 +18,7 @@ from flowforge.provenance import (ProvenanceDoc, TaskProvRecord, export_dot,
 from flowforge.runstate import RunEvent
 from flowforge.scheduler import read_stamp, stamp_path, write_stamp
 
-from conftest import USECASE_DIR
+from conftest import USECASE_DIR, cli, load_prov, read_journal
 from dot_checker import DotError, parse_dot
 
 
@@ -37,14 +39,16 @@ def sample_events(finished=True):
         ("task-started", "gen", {"fingerprint": "a" * 64}),
         ("task-finished", "gen", {
             "state": "succeeded", "fingerprint": "a" * 64, "exit_code": 0,
-            "files": {"out": "1" * 64}, "values": {},
-            "env": "e" * 64, "env_spec": "none", "executor": "local",
+            "outputs": {"files": {"out": "1" * 64}, "values": {}},
+            "env": {"fingerprint": "e" * 64, "spec": "none"},
+            "executor": "local",
             "inputs": {"literals": {}, "files": {}, "sources": {}}}),
         ("task-started", "use", {"fingerprint": "b" * 64}),
         ("task-finished", "use", {
             "state": "succeeded", "fingerprint": "b" * 64, "exit_code": 0,
-            "files": {"out": "2" * 64}, "values": {"n": 9},
-            "env": "e" * 64, "env_spec": "none", "executor": "local",
+            "outputs": {"files": {"out": "2" * 64}, "values": {"n": 9}},
+            "env": {"fingerprint": "e" * 64, "spec": "none"},
+            "executor": "local",
             "inputs": {"literals": {}, "files": {"x": "1" * 64},
                        "sources": {"x": "gen.out"}}}),
     ]
@@ -148,8 +152,9 @@ def second_run_events():
         ("task-started", "refine", {"fingerprint": "c" * 64}),
         ("task-finished", "refine", {
             "state": "succeeded", "fingerprint": "c" * 64, "exit_code": 0,
-            "files": {"out": "3" * 64}, "values": {},
-            "env": "e" * 64, "env_spec": "none", "executor": "local",
+            "outputs": {"files": {"out": "3" * 64}, "values": {}},
+            "env": {"fingerprint": "e" * 64, "spec": "none"},
+            "executor": "local",
             "inputs": {"literals": {}, "files": {"x": "2" * 64},
                        "sources": {"x": "use.out"}}}),
         ("run-finished", None, {"state": "succeeded"}),
@@ -181,14 +186,16 @@ def test_lineage_crosses_value_edges(tmp_path):
         ("task-started", "sim", {}),
         ("task-finished", "sim", {
             "state": "succeeded", "fingerprint": "a" * 64, "exit_code": 0,
-            "files": {}, "values": {"n": 9}, "env": "e" * 64,
-            "env_spec": "none", "executor": "local",
+            "outputs": {"files": {}, "values": {"n": 9}},
+            "env": {"fingerprint": "e" * 64, "spec": "none"},
+            "executor": "local",
             "inputs": {"literals": {}, "files": {}, "sources": {}}}),
         ("task-started", "macro", {}),
         ("task-finished", "macro", {
             "state": "succeeded", "fingerprint": "b" * 64, "exit_code": 0,
-            "files": {"out": "9" * 64}, "values": {}, "env": "e" * 64,
-            "env_spec": "none", "executor": "local",
+            "outputs": {"files": {"out": "9" * 64}, "values": {}},
+            "env": {"fingerprint": "e" * 64, "spec": "none"},
+            "executor": "local",
             "inputs": {"literals": {"n": 9}, "files": {},
                        "sources": {"n": "sim.n"}}}),
         ("run-finished", None, {"state": "succeeded"}),
@@ -241,16 +248,17 @@ def test_doc_dot_marks_cached_nodes():
     events = seq_events([
         ("run-started", None, {"run_id": "r-d", "tasks": ["gen", "use"],
                                "params": {}, "sinks": {}}),
-        ("task-finished", "gen", {"state": "cached", "fingerprint": "a" * 64,
-                                  "files": {"out": "1" * 64}, "values": {},
-                                  "cached_from": "r-one", "env": "e" * 64,
-                                  "env_spec": "none",
-                                  "inputs": {"literals": {}, "files": {},
-                                             "sources": {}}}),
+        ("task-finished", "gen", {
+            "state": "cached", "fingerprint": "a" * 64,
+            "outputs": {"files": {"out": "1" * 64}, "values": {}},
+            "cached_from": "r-one",
+            "env": {"fingerprint": "e" * 64, "spec": "none"},
+            "inputs": {"literals": {}, "files": {}, "sources": {}}}),
         ("task-started", "use", {}),
         ("task-finished", "use", {
             "state": "succeeded", "fingerprint": "b" * 64, "exit_code": 0,
-            "files": {}, "values": {}, "env": "e" * 64, "env_spec": "none",
+            "outputs": {"files": {}, "values": {}},
+            "env": {"fingerprint": "e" * 64, "spec": "none"},
             "executor": "local",
             "inputs": {"literals": {}, "files": {"x": "1" * 64},
                        "sources": {"x": "gen.out"}}}),
@@ -414,3 +422,140 @@ def test_lineage_is_linear_in_chain_length(tmp_path):
     assert len(result.tasks) == n
     # 0.7 s on 2 CPUs; a linear scan per visited task took 10 s there
     assert elapsed < 3.0, elapsed
+
+
+# -- documents of real runs ------------------------------------------------------
+
+SCHEMA_DOC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                          "docs", "provenance-schema.md")
+
+
+def documented_record_fields():
+    """The top-level fields of a task record, from the field table in
+    the schema document's "Task records" section."""
+    with open(SCHEMA_DOC, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Task records\n", 1)[1].split("\n## ", 1)[0]
+    return {name.split(".")[0]
+            for name in re.findall(r"^\| `([a-z_.]+)`", section, re.M)}
+
+
+@pytest.fixture(scope="module")
+def usecase_runs(tmp_path_factory):
+    """(workspace, [executed run, linked run]): the use case run with
+    every task executed, then again with every task linked from the
+    cache."""
+    ws = str(tmp_path_factory.mktemp("usecase") / "ws")
+    runs = []
+    for policy in ("recompute", "link"):
+        proc = cli("run", os.path.join(USECASE_DIR, "usecase.wf"),
+                   "--workdir", ws, "--policy", policy)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout.split()[1])  # "run <id> finished: ..."
+    return ws, runs
+
+
+def copy_of(usecase_runs, tmp_path):
+    ws, runs = usecase_runs
+    shutil.copytree(ws, tmp_path / "ws", symlinks=True)
+    return str(tmp_path / "ws"), runs
+
+
+def test_the_document_is_the_record_of_the_journal(usecase_runs):
+    """provenance.json is record() of the run's journal, and a
+    task-finished payload holds nothing but a documented record's
+    fields, its state and its error."""
+    ws, runs = usecase_runs
+    fields = documented_record_fields()
+    assert fields == set(TaskProvRecord("t", "Execute").to_data())
+    for rid in runs:
+        events = read_journal(ws, rid)
+        assert load_prov(ws, rid) == record(events).to_data()
+        payloads = [ev.payload for ev in events if ev.kind == "task-finished"]
+        assert len(payloads) == 6
+        for payload in payloads:
+            assert set(payload) - {"state", "error"} <= fields, payload
+        assert not os.path.exists(os.path.join(ws, "runs", rid, "pid"))
+
+
+def first_task(**fields):
+    """An edit that sets these fields in a document's first task record."""
+    return lambda doc: dict(doc, tasks=[dict(doc["tasks"][0], **fields)]
+                            + doc["tasks"][1:])
+
+
+# name -> (edit of the document, bytes written after it)
+MALFORMED = {
+    "tasks-hold-a-string": (lambda doc: dict(doc, tasks=["x"]), b""),
+    "env-is-a-string": (first_task(env="none"), b""),
+    "inputs-is-a-list": (first_task(inputs=[]), b""),
+    "outputs-is-a-list": (first_task(outputs=[]), b""),
+    "not-utf-8": (lambda doc: doc, b"\xff"),
+}
+
+
+@pytest.mark.parametrize("command", ["lineage", "gc", "export"])
+@pytest.mark.parametrize("damage", sorted(MALFORMED))
+def test_a_malformed_document_is_passed_over(usecase_runs, tmp_path, damage,
+                                             command):
+    """lineage and gc read the other run's document; export rebuilds the
+    damaged one from its journal."""
+    ws, (executed, linked) = copy_of(usecase_runs, tmp_path)
+    original = load_prov(ws, executed)
+    edit, tail = MALFORMED[damage]
+    with open(os.path.join(ws, "runs", executed, "provenance.json"), "wb") as fh:
+        fh.write(json.dumps(edit(original)).encode() + tail)
+    if command == "lineage":
+        digest = original["workflow_outputs"]["paper"]["digest"]
+        proc = cli("prov", "lineage", digest, "--workdir", ws)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["found"]
+        assert {t["run"] for t in result["tasks"]} == {linked}
+    elif command == "gc":
+        proc = cli("cache", "gc", "--workdir", ws)
+        assert proc.returncode == 0, proc.stderr
+        assert "kept 6 entries" in proc.stdout
+        assert "removed 0 entries, 0 blobs" in proc.stdout
+    else:
+        proc = cli("prov", "export", executed, "--workdir", ws)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == original
+
+
+def corrupt_middle_line(lines):
+    lines[1] = b"!!! not json\n"
+
+
+def old_payload_layout(lines):
+    """Task-finished payloads as journals held them before they took the
+    record's layout."""
+    for i, line in enumerate(lines):
+        event = json.loads(line)
+        payload = event.get("payload", {})
+        if event["kind"] == "task-finished" and "env" in payload:
+            outputs, env = payload.pop("outputs"), payload.pop("env")
+            payload.update(files=outputs["files"], values=outputs["values"],
+                           env=env["fingerprint"], env_spec=env["spec"])
+            lines[i] = (json.dumps(event) + "\n").encode()
+
+
+@pytest.mark.parametrize("command,damage", [
+    ("status", corrupt_middle_line),
+    ("export", corrupt_middle_line),
+    ("export", old_payload_layout),
+])
+def test_an_unreadable_journal_exits_2(usecase_runs, tmp_path, command, damage):
+    ws, (executed, _) = copy_of(usecase_runs, tmp_path)
+    run_dir = os.path.join(ws, "runs", executed)
+    os.unlink(os.path.join(run_dir, "provenance.json"))
+    with open(os.path.join(run_dir, "events.ndjson"), "rb") as fh:
+        lines = fh.readlines()
+    damage(lines)
+    with open(os.path.join(run_dir, "events.ndjson"), "wb") as fh:
+        fh.writelines(lines)
+    if command == "status":
+        proc = cli("status", executed, "--workdir", ws)
+    else:
+        proc = cli("prov", "export", executed, "--workdir", ws)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("Error: ") and "Traceback" not in proc.stderr

@@ -68,6 +68,17 @@ def test_torn_trailing_line_is_recoverable(tmp_path):
     assert len(warnings) == 1 and "torn" in warnings[0]
 
 
+def test_a_torn_trailing_line_that_is_no_utf8_is_recoverable(tmp_path):
+    run_dir = make_run(tmp_path, BASIC[:3])
+    path = os.path.join(run_dir, "events.ndjson")
+    with open(path, "ab") as fh:
+        fh.write(b'{"seq": 4, "kind": "task-fi\xff')
+    events, warnings = read_events(path)
+    assert len(events) == 3
+    assert len(warnings) == 1 and "torn" in warnings[0]
+    assert status(run_dir).done == 1
+
+
 def test_corruption_in_the_middle_raises(tmp_path):
     run_dir = make_run(tmp_path, BASIC)
     path = os.path.join(run_dir, "events.ndjson")
@@ -143,14 +154,11 @@ def reaped_pid() -> int:
 def orphan_candidate(tmp_path, hostname, pid):
     """A run that started on `hostname` as process `pid` and never
     journaled run-finished."""
-    run_dir = make_run(tmp_path, [
+    return make_run(tmp_path, [
         ("run-started", None, {"run_id": "r1", "tasks": ["a", "b"],
-                               "hostname": hostname}),
+                               "hostname": hostname, "pid": pid}),
         ("task-started", "a", {}),
     ])
-    with open(os.path.join(run_dir, "pid"), "w") as fh:
-        fh.write("%d\n" % pid)
-    return run_dir
 
 
 def test_status_reports_crashed_when_the_run_process_is_gone(tmp_path):
