@@ -4,6 +4,12 @@ Layout:
     cache/objects/<first2>/<digest>   blob, named by SHA-256 of content
     cache/tasks/<fingerprint>.json    task result entry
 
+A task result is a CacheEntry: fingerprint, producing run, file outputs
+by digest and value outputs. The workspace stamp that the update policy
+reads is the same record in the same bytes, the entry of the outputs a
+task last placed in the workspace, written as CacheEntry.to_bytes and
+read by read_entry.
+
 put_blob is the one place that reads an artifact into the store. It
 hashes a file while reading it, into memory when it fits in one read
 chunk and into a temp file otherwise, then installs the bytes read by
@@ -23,13 +29,15 @@ tree-manifest blob (canonical bytes, own digest) plus one blob per
 member file. gc keeps the entries of kept runs, the inputs those runs
 recorded and every blob either references; it reads the 13-byte head
 of each kept blob and only tree manifests whole, so its memory does
-not grow with output size. It takes an exclusive lock file and refuses
-to run when it is already held.
+not grow with output size. It holds an flock on cache/gc.lock while it
+runs and refuses to start when another gc holds it; the file stays, and
+one left by a killed gc holds no lock.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import io
 import itertools
@@ -42,6 +50,7 @@ from dataclasses import dataclass, field
 
 from .canon import (CHUNK, MANIFEST_HEAD, canon_bytes, canon_decode,
                     file_digest, tree_manifest)
+from .provenance import record_sections
 
 log = logging.getLogger(__name__)
 
@@ -60,22 +69,24 @@ class GcLockError(CacheError):
 @dataclass(frozen=True)
 class CacheEntry:
     fingerprint: str
-    run_id: str
+    run_id: str | None  # None in a stamp written before stamps were entries
     file_outputs: dict[str, str]  # port -> blob digest (tree digest for dirs)
     value_outputs: dict[str, object]
 
-    def to_data(self) -> dict:
-        return {
+    def to_bytes(self) -> bytes:
+        return (json.dumps({
             "fingerprint": self.fingerprint,
             "run": self.run_id,
-            "files": dict(self.file_outputs),
-            "values": dict(self.value_outputs),
-        }
+            "files": self.file_outputs,
+            "values": self.value_outputs,
+        }, indent=1) + "\n").encode()
 
     @classmethod
     def from_data(cls, data: dict) -> "CacheEntry":
-        return cls(data["fingerprint"], data["run"], dict(data["files"]),
-                   dict(data["values"]))
+        files, values = record_sections(data, "entry")
+        if not isinstance(data.get("run", ""), str):
+            raise ValueError("entry run is no string")
+        return cls(data["fingerprint"], data.get("run"), files, values)
 
 
 @dataclass
@@ -211,14 +222,13 @@ class CacheStore:
         for digest in entry.file_outputs.values():
             if not self.has_blob(digest):
                 raise CacheError("entry references missing blob %s" % digest)
-        replace_file(self.entry_path(entry.fingerprint),
-                     (json.dumps(entry.to_data(), indent=1) + "\n").encode())
+        replace_file(self.entry_path(entry.fingerprint), entry.to_bytes())
 
     def get_entry(self, fingerprint: str) -> CacheEntry | None:
         """Fetch a verified entry, or None. An entry whose blobs are
         missing or unparseable is corrupt: warn and treat as a miss."""
         try:
-            entry = _read_entry(self.entry_path(fingerprint))
+            entry = read_entry(self.entry_path(fingerprint))
         except FileNotFoundError:
             return None
         except (ValueError, KeyError, TypeError) as exc:
@@ -265,17 +275,17 @@ class CacheStore:
         keep_runs = set(keep_runs)
         os.makedirs(self.root, exist_ok=True)
         lock = os.path.join(self.root, "gc.lock")
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise GcLockError("gc lock held (%s); another gc in progress?" % lock)
-        os.close(fd)
-        try:
+        with os.fdopen(os.open(lock, os.O_WRONLY | os.O_CREAT, 0o644), "wb") as held:
+            try:
+                fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise GcLockError("gc lock held (%s); another gc in progress?"
+                                  % lock) from None
             report = GcReport()
             roots = set(keep_blobs)
             for fingerprint, path in self._entry_files():
                 try:
-                    entry = _read_entry(path)
+                    entry = read_entry(path)
                 except (ValueError, KeyError, TypeError, OSError):
                     entry = None
                 if entry is not None and entry.run_id in keep_runs:
@@ -299,8 +309,6 @@ class CacheStore:
                         os.unlink(path)
                         report.removed_blobs.append(digest)
             return report
-        finally:
-            os.unlink(lock)
 
 
 _temp_serial = itertools.count()
@@ -341,9 +349,9 @@ def replace_file(path: str, data: bytes):
         raise
 
 
-def _read_entry(path: str) -> CacheEntry:
-    """The entry stored at `path`. Raises OSError, or ValueError, KeyError
-    or TypeError for bytes that are no entry."""
+def read_entry(path: str) -> CacheEntry:
+    """The entry or stamp stored at `path`. Raises OSError, or ValueError,
+    KeyError or TypeError for bytes that are no entry."""
     with open(path, encoding="utf-8") as fh:
         return CacheEntry.from_data(json.load(fh))
 

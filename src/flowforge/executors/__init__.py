@@ -30,7 +30,6 @@ class ExecutorError(Exception):
 class StagedInput:
     """A materialized input file (or directory tree) inside the workdir."""
 
-    port: str
     path: str  # workdir-relative, /-separated
     tree: bool = False
 

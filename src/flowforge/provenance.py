@@ -77,20 +77,23 @@ class TaskProvRecord:
     def from_data(cls, data: dict) -> "TaskProvRecord":
         """The record in `data`, a stored document's task entry or a
         task-finished payload with task, action and times added. Raises
-        ValueError when the record or a section of it is no mapping."""
+        ValueError when the record or a section of it is no mapping, or
+        a file digest is no digest."""
         data = _mapping(data, "task record")
-        inputs = _mapping(data.get("inputs", {}), "inputs")
-        outputs = _mapping(data.get("outputs", {}), "outputs")
+        inputs = data.get("inputs", {})
+        input_files, _ = record_sections(inputs, "inputs")
+        output_files, value_outputs = record_sections(data.get("outputs", {}),
+                                                      "outputs")
         env = _mapping(data.get("env", {}), "env")
         return cls(
             task=data["task"],
             action=data["action"],
             fingerprint=data.get("fingerprint"),
             literal_inputs=dict(inputs.get("literals", {})),
-            input_files=dict(inputs.get("files", {})),
+            input_files=input_files,
             input_sources=dict(inputs.get("sources", {})),
-            output_files=dict(outputs.get("files", {})),
-            value_outputs=dict(outputs.get("values", {})),
+            output_files=output_files,
+            value_outputs=value_outputs,
             env=env.get("fingerprint"),
             env_spec=env.get("spec"),
             executor=data.get("executor"),
@@ -105,6 +108,21 @@ def _mapping(data, what: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError("%s is a %s, not a mapping" % (what, type(data).__name__))
     return data
+
+
+_DIGEST = re.compile(r"[0-9a-f]{64}")
+
+
+def record_sections(data, what: str) -> tuple[dict, dict]:
+    """Copies of the `files` (port -> digest) and `values` sections of
+    `data`, a record of what a task produced or read: a cache entry, a
+    stamp, or a task record's inputs or outputs; a missing section is
+    empty. Raises ValueError when `data` or a section is no mapping, or
+    a digest is not 64 lowercase hex digits."""
+    files = dict(_mapping(_mapping(data, what).get("files", {}), what + " files"))
+    if not all(isinstance(d, str) and _DIGEST.fullmatch(d) for d in files.values()):
+        raise ValueError("%s files: a digest is not 64 lowercase hex digits" % what)
+    return files, dict(_mapping(data.get("values", {}), what + " values"))
 
 
 @dataclass

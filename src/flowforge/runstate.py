@@ -57,8 +57,11 @@ class RunEvent:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "RunEvent":
-        return cls(doc["seq"], doc["ts"], doc["kind"], doc.get("task"),
-                   doc.get("payload", {}))
+        event = cls(doc["seq"], doc["ts"], doc["kind"], doc.get("task"),
+                    doc.get("payload", {}))
+        if not isinstance(event.payload, dict):
+            raise TypeError("event payload is no mapping")
+        return event
 
 
 def _now() -> str:

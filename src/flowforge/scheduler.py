@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import contextlib
 import heapq
-import json
 import logging
 import os
 import shutil
@@ -46,7 +45,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import provenance, runstate
-from .cache import CacheEntry, CacheError, CacheStore, link_file, replace_file
+from .cache import (CacheEntry, CacheError, CacheStore, link_file, read_entry,
+                    replace_file)
 from .canon import file_digest
 from .executors import OutputSpec, StagedInput, TaskSpec, artifact_present
 from .executors.local import LocalExecutor
@@ -83,8 +83,8 @@ class Policy(str, Enum):
 class TaskAction:
     kind: str  # "execute" | "link" | "skip" | "blocked"
     fingerprint: str | None = None
-    entry: CacheEntry | None = field(default=None, compare=False)  # link's hit
-    stamp: dict | None = field(default=None, compare=False)  # the stamp update read
+    # link's cache hit, or the stamp update read
+    entry: CacheEntry | None = field(default=None, compare=False)
 
     @property
     def is_execute(self) -> bool:
@@ -129,51 +129,46 @@ class RunResult:
 
 # ---------------------------------------------------------------------------
 # workspace stamps (update policy bookkeeping; workspace-scoped on purpose:
-# up-to-dateness is a property of a workspace, linking of the cache)
+# up-to-dateness is a property of a workspace, linking of the cache). A
+# stamp is the cache entry of the outputs a task last placed there.
 
 def stamp_path(workspace: str, task_id: str) -> str:
     return os.path.join(workspace, STAMPS_DIR, task_id)
 
 
-def read_stamp(workspace: str, task_id: str) -> dict | None:
+def read_stamp(workspace: str, task_id: str) -> CacheEntry | None:
     try:
-        with open(stamp_path(workspace, task_id), encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
+        return read_entry(stamp_path(workspace, task_id))
+    except (OSError, ValueError, KeyError, TypeError):
         return None
-    if not isinstance(data, dict) or "fingerprint" not in data:
-        return None
-    data.setdefault("files", {})
-    data.setdefault("values", {})
-    return data
 
 
-def write_stamp(workspace: str, task_id: str, fingerprint: str,
-                files: dict, values: dict):
-    data = {"fingerprint": fingerprint, "files": files, "values": values}
-    replace_file(stamp_path(workspace, task_id), (json.dumps(data) + "\n").encode())
+def write_stamp(workspace: str, task_id: str, entry: CacheEntry):
+    replace_file(stamp_path(workspace, task_id), entry.to_bytes())
 
 
 def decide_action(task: TaskInstance, policy: Policy, cache: CacheStore,
                   workspace: str, fingerprint: str | None = None) -> TaskAction:
     """Per-task policy decision. Requires resolved bindings (the
     fingerprint must be computable). Cache corruption counts as a miss;
-    the cache layer warns."""
+    the cache layer warns. A cache entry or stamp that does not name
+    every output the task declares is damaged, and counts as none."""
     if policy == Policy.RECOMPUTE:
         return TaskAction("execute", fingerprint)
     fp = fingerprint or task_fingerprint(task)
+    entry = cache.get_entry(fp) if policy == Policy.LINK \
+        else read_stamp(workspace, task.id)
+    if entry is not None and not all(
+            port in (entry.value_outputs if decl.path is None else entry.file_outputs)
+            for port, decl in task.output_decls.items()):
+        entry = None
     if policy == Policy.LINK:
-        entry = cache.get_entry(fp)
-        if entry is not None:
-            return TaskAction("link", fp, entry)
-        return TaskAction("execute", fp)
-    # update
-    stamp = read_stamp(workspace, task.id)
-    if stamp is not None and stamp["fingerprint"] == fp \
+        return TaskAction("link" if entry else "execute", fp, entry)
+    if entry is not None and entry.fingerprint == fp \
             and all(artifact_present(workspace, decl)
                     for decl in task.output_decls.values() if decl.path is not None):
-        return TaskAction("skip", fp, stamp=stamp)
-    return TaskAction("execute", fp, stamp=stamp)
+        return TaskAction("skip", fp, entry)
+    return TaskAction("execute", fp, entry)
 
 
 def generate_run_id() -> str:
@@ -181,26 +176,18 @@ def generate_run_id() -> str:
     return "r%s-%s" % (time.strftime("%Y%m%d-%H%M%S"), uuid.uuid4().hex[:6])
 
 
-def _settled_result(action: TaskAction, predicted: dict | None = None) -> TaskResult:
-    """The result of a task settled without running it here: a link from
-    its cache entry, a skip from its stamp, and an execute from
-    `predicted`, the stamp of the outputs it is expected to reproduce.
+def _settled_result(action: TaskAction, entry: CacheEntry | None) -> TaskResult:
+    """The result of a task settled without running it here, with the
+    outputs `entry` records: a link's cache entry, a skip's stamp, or for
+    an execute the stamp of the outputs it is expected to reproduce.
     Without one an execute's outputs are unknown, and every task that
     reads them resolves to None."""
-    if action.kind == "link":
-        entry = action.entry
-        return TaskResult("cached", fingerprint=action.fingerprint,
-                          file_digests=dict(entry.file_outputs),
-                          value_outputs=dict(entry.value_outputs),
-                          cached_from=entry.run_id)
-    if action.kind == "skip":
-        return TaskResult("skipped-up-to-date", fingerprint=action.fingerprint,
-                          file_digests=dict(action.stamp["files"]),
-                          value_outputs=dict(action.stamp["values"]))
-    predicted = predicted or {"files": {}, "values": {}}
-    return TaskResult("succeeded", fingerprint=action.fingerprint,
-                      file_digests=dict(predicted["files"]),
-                      value_outputs=dict(predicted["values"]))
+    entry = entry or CacheEntry(action.fingerprint, None, {}, {})
+    return TaskResult(
+        {"link": "cached", "skip": "skipped-up-to-date"}.get(action.kind, "succeeded"),
+        fingerprint=action.fingerprint, file_digests=dict(entry.file_outputs),
+        value_outputs=dict(entry.value_outputs),
+        cached_from=entry.run_id if action.kind == "link" else None)
 
 
 class _Walk:
@@ -320,7 +307,7 @@ class Runner:
                     elif action.kind == "execute":
                         heapq.heappush(runnable, (tid, resolved, fp))
                     elif action.kind == "skip":
-                        finish(tid, _settled_result(action),
+                        finish(tid, _settled_result(action, action.entry),
                                {"state": "skipped-up-to-date", "fingerprint": fp})
                     else:
                         try:
@@ -330,7 +317,7 @@ class Runner:
                                         "it instead: %s", tid, exc)
                             heapq.heappush(runnable, (tid, resolved, fp))
                             continue
-                        linked = _settled_result(action)
+                        linked = _settled_result(action, action.entry)
                         finish(tid, linked, self._finish_payload(resolved, linked))
 
                 while runnable and len(futures) < self.jobs and not stop:
@@ -386,14 +373,16 @@ class Runner:
         walk = _Walk(self, graph, Policy(policy))
         actions: dict[str, TaskAction] = {}
         while (decision := walk.next()) is not None:
-            task, _, action = decision
+            task, resolved, action = decision
             actions[task.id] = action
-            stamp = None
+            entry = action.entry
             if action.is_execute and action.fingerprint is not None:
-                stamp = action.stamp or read_stamp(self.workspace, task.id)
-                if stamp and stamp["fingerprint"] != action.fingerprint:
-                    stamp = None
-            walk.settle(task.id, _settled_result(action, stamp))
+                entry = entry or decide_action(  # the stamp update would read
+                    resolved, Policy.UPDATE, self.cache, self.workspace,
+                    action.fingerprint).entry
+                if entry is not None and entry.fingerprint != action.fingerprint:
+                    entry = None
+            walk.settle(task.id, _settled_result(action, entry))
         return actions
 
     # -- dispatch helpers ----------------------------------------------------
@@ -503,7 +492,7 @@ class Runner:
                 if isinstance(binding, Blob):
                     rel, files = self._materialize_input(port, binding, workdir)
                     input_paths[port] = rel
-                    staged.append(StagedInput(port, rel, binding.tree))
+                    staged.append(StagedInput(rel, binding.tree))
                     before.update(files)
 
             argv = resolve_argv(task, input_paths)
@@ -527,24 +516,28 @@ class Runner:
         if rewritten or not outcome.success:
             return TaskResult("failed", exit_code=outcome.exit_code,
                               fingerprint=fp, error=rewritten or outcome.error)
-        values = dict(outcome.value_outputs)
         try:
-            files = self._publish_outputs(task, workdir)
-            write_stamp(self.workspace, task.id, fp, files, values)
-            self.cache.put_entry(CacheEntry(
-                fp, os.path.basename(run_dir), files, values))
+            entry = CacheEntry(fp, os.path.basename(run_dir),
+                               self._publish_outputs(task, workdir),
+                               dict(outcome.value_outputs))
+            write_stamp(self.workspace, task.id, entry)
+            self.cache.put_entry(entry)
         except (CacheError, OSError) as exc:
             return TaskResult("failed", exit_code=outcome.exit_code,
                               fingerprint=fp,
                               error="publishing outputs failed: %s" % exc)
         return TaskResult("succeeded", exit_code=0, fingerprint=fp,
-                          file_digests=files, value_outputs=values)
+                          file_digests=entry.file_outputs,
+                          value_outputs=entry.value_outputs)
 
     def _rewritten_input(self, task: TaskInstance, before: dict) -> str | None:
         """An error naming the first input whose staged bytes the task
         changed, or None; only files whose size or mtime moved are
         rehashed. A changed blob leaves the store with the tree that
-        holds it, so entries that name them become misses."""
+        holds it, so entries that name them become misses. When the
+        staged file is also the producer's workspace output (both linked
+        from the store), that output changed too: the producer's stamp
+        goes, so the next update re-executes it."""
         for path, (port, member, stat) in sorted(before.items()):
             try:
                 now = os.stat(path)
@@ -552,13 +545,20 @@ class Runner:
                 continue  # unlinking a staged link leaves the store alone
             if (now.st_size, now.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns):
                 continue
-            tree = task.input_bindings[port].digest
-            digest = tree if member is None else \
-                self.cache.read_tree_manifest(tree)["entries"][member]
+            binding = task.input_bindings[port]
+            digest = binding.digest if member is None else \
+                self.cache.read_tree_manifest(binding.digest)["entries"][member]
             if file_digest(path) != digest:
-                for name in {digest, tree}:
+                for name in {digest, binding.digest}:
                     with contextlib.suppress(FileNotFoundError):
                         os.unlink(self.cache.blob_path(name))
+                producer = task.input_sources[port].rpartition(".")[0]
+                if producer in task.deps:
+                    output = binding.source if member is None else os.path.join(
+                        binding.source, member.replace("/", os.sep))
+                    with contextlib.suppress(OSError):
+                        if os.path.samestat(now, os.stat(output)):
+                            os.unlink(stamp_path(self.workspace, producer))
                 return "ModifiedInput(%s): the task rewrote its input %s" % (
                     port, os.path.basename(path))
         return None
@@ -592,8 +592,7 @@ class Runner:
                 self.cache.materialize_tree(entry.file_outputs[port], dest)
             else:
                 self.cache.materialize_blob(entry.file_outputs[port], dest)
-        write_stamp(self.workspace, task.id, entry.fingerprint,
-                    dict(entry.file_outputs), dict(entry.value_outputs))
+        write_stamp(self.workspace, task.id, entry)
 
     # -- journal payloads ----------------------------------------------------
 

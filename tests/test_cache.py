@@ -1,5 +1,6 @@
 """Content-addressed store: digests, atomicity, corruption, gc."""
 
+import fcntl
 import hashlib
 import json
 import os
@@ -384,9 +385,20 @@ def test_gc_removes_corrupt_entries(store, tmp_path):
 def test_gc_lock_exclusive(store):
     os.makedirs(store.root, exist_ok=True)
     lock = os.path.join(store.root, "gc.lock")
+    with open(lock, "w") as other_gc:
+        fcntl.flock(other_gc, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(GcLockError):
+            store.gc(keep_runs=set())
+    store.gc(keep_runs=set())  # released when the other gc closed the file
+
+
+def test_a_lock_file_left_by_a_killed_gc_does_not_block_gc(store):
+    """The lock is an flock, which dies with its holder; the file stays."""
+    os.makedirs(store.root, exist_ok=True)
+    lock = os.path.join(store.root, "gc.lock")
     with open(lock, "w"):
         pass
-    with pytest.raises(GcLockError):
-        store.gc(keep_runs=set())
-    os.unlink(lock)
-    store.gc(keep_runs=set())  # lock released by the failed attempt's owner
+    store.put_entry(CacheEntry("5" * 64, "r-gone", {}, {}))
+    report = store.gc(keep_runs=set())
+    assert report.removed_entries == ["5" * 64]
+    assert os.path.exists(lock)

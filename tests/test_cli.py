@@ -284,6 +284,93 @@ def test_link_run_executes_a_task_whose_tree_member_is_gone(ws, tmp_path):
     assert_blobs_match_names(ws)
 
 
+TWO_STEP = {
+    "name": "two",
+    "processes": [
+        {"id": "a", "command": ["sh", "-c", "echo hi > {outputs.o}"],
+         "outputs": {"o": {"type": "file", "path": "a.txt"}}},
+        {"id": "b", "command": ["sh", "-c", "cat {inputs.s} > {outputs.o}"],
+         "inputs": {"s": {"type": "file", "from": "a.o"}},
+         "outputs": {"o": {"type": "file", "path": "b.txt"}}},
+    ],
+    "outputs": {"b": "b.o"},
+}
+
+
+def task_record(doc, task):
+    return next(rec for rec in doc["tasks"] if rec["task"] == task)
+
+
+# name -> (record edited, edit of its JSON document)
+DAMAGE = {
+    "stamp-files-is-a-list": ("stamp", lambda d: d.update(files=["x"])),
+    "stamp-lacks-an-output": ("stamp", lambda d: d.update(files={})),
+    "entry-lacks-an-output": ("entry", lambda d: d.update(files={})),
+    "entry-digest-is-a-number": ("entry", lambda d: d.update(files={"o": 5})),
+    "entry-run-is-a-list": ("entry", lambda d: d.update(run=[])),
+    "input-digest-is-a-number": (
+        "provenance",
+        lambda d: task_record(d, "b")["inputs"].update(files={"s": 5})),
+}
+
+
+@pytest.mark.parametrize("damage,command", [
+    ("stamp-files-is-a-list", "run"),
+    ("stamp-files-is-a-list", "dry-run"),
+    ("stamp-lacks-an-output", "run"),
+    ("entry-lacks-an-output", "link"),
+    ("entry-digest-is-a-number", "link"),
+    ("entry-digest-is-a-number", "ls"),
+    ("entry-run-is-a-list", "gc"),
+    ("input-digest-is-a-number", "gc"),
+    ("input-digest-is-a-number", "lineage"),
+])
+def test_a_record_that_does_not_read_as_one_is_no_record(tmp_path, damage,
+                                                         command):
+    """A hand-damaged stamp or entry of `a` is a miss, so `a` executes;
+    a damaged provenance document is passed over."""
+    wf = tmp_path / "two.wf"
+    wf.write_text(json.dumps(TWO_STEP))
+    ws = str(tmp_path / "ws")
+    assert cli("run", wf, "--workdir", ws).returncode == 0
+    (first,) = run_ids(ws)
+    doc = load_prov(ws, first)
+    record, edit = DAMAGE[damage]
+    path = {"stamp": os.path.join(ws, ".flowforge", "stamps", "a"),
+            "entry": os.path.join(ws, "cache", "tasks",
+                                  task_record(doc, "a")["fingerprint"] + ".json"),
+            "provenance": os.path.join(ws, "runs", first, "provenance.json"),
+            }[record]
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    edit(data)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+
+    args = {"run": ["run", wf], "dry-run": ["run", wf, "--dry-run"],
+            "link": ["run", wf, "--policy", "link"], "ls": ["cache", "ls"],
+            "gc": ["cache", "gc"],
+            "lineage": ["prov", "lineage", doc["workflow_outputs"]["b"]["digest"]],
+            }[command]
+    proc = cli(*args, "--workdir", ws)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if command in ("run", "link"):
+        latest = run_ids(ws)[-1]
+        assert "a" in started_tasks(read_journal(ws, latest))
+        assert (tmp_path / "ws" / "b.txt").read_text() == "hi\n"
+    elif command == "dry-run":
+        plan = [line.split() for line in proc.stdout.splitlines()]
+        assert plan == [["execute", "a"], ["execute", "b"]]
+    elif command == "ls":
+        listed = {line.split()[0] for line in proc.stdout.splitlines()}
+        assert listed == {task_record(doc, "b")["fingerprint"]}
+    elif command == "gc":
+        assert "removed %d entries" % (record == "entry") in proc.stdout
+    else:
+        assert json.loads(proc.stdout)["found"] is False
+
+
 def test_capabilities_text():
     proc = cli("capabilities")
     assert proc.returncode == 0

@@ -213,7 +213,7 @@ def test_remote_stages_and_collects(tmp_path):
     (w / "inputs" / "data" / "in.txt").write_text("payload\n")
     spec = TaskSpec(
         "t-remote", ("sh", "-c", "cp inputs/data/in.txt out.txt"), str(w),
-        (StagedInput("data", "inputs/data/in.txt"),),
+        (StagedInput("inputs/data/in.txt"),),
         (OutputSpec("o", parse_type("file"), "out.txt"),))
     outcome = executor.execute(spec)
     assert outcome.success
@@ -229,7 +229,7 @@ def test_remote_transfer_log_lists_stage_directions(tmp_path):
         "t-log",
         ("sh", "-c", "cp inputs/data/in.txt out.txt; echo '{\"n\": 1}' > outputs.json"),
         str(w),
-        (StagedInput("data", "inputs/data/in.txt"),),
+        (StagedInput("inputs/data/in.txt"),),
         (OutputSpec("o", parse_type("file"), "out.txt"),
          OutputSpec("n", parse_type("integer"), None)))
     outcome = executor.execute(spec)

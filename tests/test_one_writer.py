@@ -1,7 +1,8 @@
 """Every small file the engine keeps is replaced through one writer,
-cache.replace_file, and CacheStore.put_blob alone installs blobs. No
-linter is installed, so the check is written here with the standard
-library, as in test_unused_imports.py."""
+cache.replace_file, and CacheStore.put_blob alone installs blobs; each
+kind of JSON record has one parser. No linter is installed, so the
+checks are written here with the standard library, as in
+test_unused_imports.py."""
 
 import ast
 import os
@@ -13,6 +14,19 @@ PACKAGE = os.path.dirname(os.path.abspath(flowforge.__file__))
 # (module path within the package, qualified function) that may rename
 # a file into place
 RENAMERS = {("cache.py", "replace_file"), ("cache.py", "CacheStore.put_blob")}
+
+# (module path within the package, qualified function) that may parse
+# JSON: one per kind of record
+JSON_READERS = {
+    ("cache.py", "read_entry"),  # cache entries and workspace stamps
+    ("provenance.py", "load_doc"),  # provenance documents
+    ("provenance.py", "_read_index"),  # the run index
+    ("runstate.py", "read_events"),  # journal lines
+    ("executors/__init__.py", "collect_outcome"),  # a task's value manifest
+    ("envprov.py", "ProviderRegistry.from_file"),  # environment providers
+    ("model.py", "_load_document"),  # workflow documents
+    ("cli.py", "_parse_param_value"),  # a param value on the command line
+}
 
 
 def modules():
@@ -27,9 +41,10 @@ def modules():
                            ast.parse(fh.read(), filename=path))
 
 
-def rename_sites(tree) -> list[str]:
-    """The qualified name of the function around each use of os.replace
-    or os.rename, or of an import of either ("" at module level)."""
+def use_sites(tree, module: str, names) -> list[str]:
+    """The qualified name of the function around each use of
+    `module`.<name>, or of an import of it, for each of `names` ("" at
+    module level)."""
     sites = []
 
     def visit(node, scope):
@@ -37,11 +52,11 @@ def rename_sites(tree) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr in ("replace", "rename")
-                    and isinstance(child.value, ast.Name) and child.value.id == "os"):
+            if (isinstance(child, ast.Attribute) and child.attr in names
+                    and isinstance(child.value, ast.Name) and child.value.id == module):
                 sites.append(".".join(scope))
-            if isinstance(child, ast.ImportFrom) and child.module == "os" and any(
-                    alias.name in ("replace", "rename") for alias in child.names):
+            if isinstance(child, ast.ImportFrom) and child.module == module and any(
+                    alias.name in names for alias in child.names):
                 sites.append(".".join(scope))
             visit(child, scope)
     visit(tree, [])
@@ -62,12 +77,23 @@ def imports_tempfile(tree) -> bool:
 
 
 def test_only_replace_file_and_put_blob_rename_files_into_place():
-    assert rename_sites(ast.parse(
-        "class A:\n    def f(self):\n        g(os.replace)\n")) == ["A.f"]
-    found = {(rel, site) for rel, tree in modules() for site in rename_sites(tree)}
+    renames = ("replace", "rename")
+    assert use_sites(ast.parse(
+        "class A:\n    def f(self):\n        g(os.replace)\n"), "os", renames) == ["A.f"]
+    found = {(rel, site) for rel, tree in modules()
+             for site in use_sites(tree, "os", renames)}
     assert found == RENAMERS
 
 
 def test_no_module_imports_tempfile():
     assert imports_tempfile(ast.parse("def f():\n    from tempfile import mkstemp\n"))
     assert [rel for rel, tree in modules() if imports_tempfile(tree)] == []
+
+
+def test_each_kind_of_json_record_has_one_parser():
+    assert use_sites(ast.parse(
+        "class A:\n    def f(self):\n        from json import loads\n"),
+        "json", ("load", "loads")) == ["A.f"]
+    found = {(rel, site) for rel, tree in modules()
+             for site in use_sites(tree, "json", ("load", "loads"))}
+    assert found == JSON_READERS

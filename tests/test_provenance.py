@@ -310,7 +310,7 @@ def load_json(path):
 
 # writer(root) -> (write, the path it replaces, a reader of that path)
 def stamp_writer(root):
-    return (lambda: write_stamp(str(root), "t", "f" * 64, {}, {}),
+    return (lambda: write_stamp(str(root), "t", CacheEntry("f" * 64, "r1", {}, {})),
             stamp_path(str(root), "t"), load_json)
 
 
@@ -372,10 +372,11 @@ def test_concurrent_writers_of_one_file_use_their_own_temp_files(
 
 
 def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
-    write_stamp(str(tmp_path), "t", "a" * 64, {}, {})
+    write_stamp(str(tmp_path), "t", CacheEntry("a" * 64, "r1", {}, {}))
     with pytest.raises(TypeError):
-        write_stamp(str(tmp_path), "t", "b" * 64, {}, {"v": object()})
-    assert read_stamp(str(tmp_path), "t")["fingerprint"] == "a" * 64
+        write_stamp(str(tmp_path), "t",
+                    CacheEntry("b" * 64, "r1", {}, {"v": object()}))
+    assert read_stamp(str(tmp_path), "t").fingerprint == "a" * 64
     assert os.listdir(tmp_path / ".flowforge" / "stamps") == ["t"]
 
 
@@ -386,7 +387,7 @@ def test_a_record_with_undecodable_bytes_is_ignored(tmp_path, reader):
     does: its reader passes over it (gc removes it) and does not raise."""
     store = CacheStore(str(tmp_path / "cache"))
     store.put_entry(CacheEntry("e" * 64, "r1", {}, {}))
-    write_stamp(str(tmp_path), "t", "f" * 64, {}, {})
+    write_stamp(str(tmp_path), "t", CacheEntry("f" * 64, "r1", {}, {}))
     runs = tmp_path / "runs"
     store_doc(runs, ProvenanceDoc("r1", records=[
         TaskProvRecord("t", "Execute", output_files={"o": "1" * 64})]))
@@ -539,10 +540,19 @@ def old_payload_layout(lines):
             lines[i] = (json.dumps(event) + "\n").encode()
 
 
+def payload_is_a_list(lines):
+    event = json.loads(lines[0])
+    assert event["kind"] == "run-started"
+    event["payload"] = []
+    lines[0] = (json.dumps(event) + "\n").encode()
+
+
 @pytest.mark.parametrize("command,damage", [
     ("status", corrupt_middle_line),
     ("export", corrupt_middle_line),
     ("export", old_payload_layout),
+    ("status", payload_is_a_list),
+    ("export", payload_is_a_list),
 ])
 def test_an_unreadable_journal_exits_2(usecase_runs, tmp_path, command, damage):
     ws, (executed, _) = copy_of(usecase_runs, tmp_path)

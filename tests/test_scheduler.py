@@ -343,12 +343,12 @@ def test_decide_action_matrix(tmp_path):
 
     # update: stamp + outputs present skips; either missing executes
     assert decide_action(task, Policy.UPDATE, cache, ws).kind == "execute"
-    write_stamp(ws, "one", fp, {"o": digest}, {})
+    write_stamp(ws, "one", CacheEntry(fp, "r-prior", {"o": digest}, {}))
     assert decide_action(task, Policy.UPDATE, cache, ws).kind == "execute"
     with open(os.path.join(ws, "one.txt"), "w") as fh:
         fh.write("x\n")
     assert decide_action(task, Policy.UPDATE, cache, ws).kind == "skip"
-    write_stamp(ws, "one", "0" * 64, {"o": digest}, {})
+    write_stamp(ws, "one", CacheEntry("0" * 64, "r-prior", {"o": digest}, {}))
     assert decide_action(task, Policy.UPDATE, cache, ws).kind == "execute"
 
 
@@ -494,6 +494,22 @@ def test_workers_publish_shared_content_concurrently(tmp_path):
     assert rerun.counts == {"skipped-up-to-date": 24}
 
 
+def test_a_stamp_written_before_stamps_were_entries_still_skips(tmp_path):
+    """Such a stamp is compact and has no `run`; upgrading must not
+    re-execute the workspace."""
+    doc = layered(2, 3)
+    ws = tmp_path / "ws"
+    run_once(ws, graph_for(tmp_path, doc), Policy.UPDATE)
+    stamps = ws / ".flowforge" / "stamps"
+    for path in stamps.iterdir():
+        entry = json.loads(path.read_text())
+        path.write_text(json.dumps({"fingerprint": entry["fingerprint"],
+                                    "files": entry["files"],
+                                    "values": entry["values"]}) + "\n")
+    result = run_once(ws, graph_for(tmp_path, doc), Policy.UPDATE)
+    assert result.counts == {"skipped-up-to-date": 6}
+
+
 def test_noop_update_reads_each_stamp_once(tmp_path, monkeypatch):
     doc = layered(3, 10)
     ws = tmp_path / "ws"
@@ -593,7 +609,8 @@ def test_each_output_byte_is_hashed_once(tmp_path, monkeypatch):
 
 def tainting_chain(kind):
     """`taint` appends to its staged input file, or to the one member of
-    its staged input directory: a hard link to a blob in the store."""
+    its staged input directory: a hard link to a blob in the store. With
+    the param `tag` set to `good` it leaves its input alone."""
     if kind == "file":
         make, target = "echo clean > {outputs.o}", "{inputs.i}"
     else:
@@ -601,13 +618,16 @@ def tainting_chain(kind):
         target = "{inputs.i}/f"
     return {
         "name": "taint",
+        "params": {"tag": {"type": "string", "default": "bad"}},
         "processes": [
             {"id": "make", "command": ["sh", "-c", make],
              "outputs": {"o": {"type": kind, "path": "a"}}},
             {"id": "taint",
-             "command": ["sh", "-c", "chmod u+w %s && echo x >> %s"
+             "command": ["sh", "-c", "(test {inputs.tag} = good ||"
+                         " (chmod u+w %s && echo x >> %s))"
                          " && echo > {outputs.o}" % (target, target)],
-             "inputs": {"i": {"type": kind, "from": "make.o"}},
+             "inputs": {"i": {"type": kind, "from": "make.o"},
+                        "tag": {"type": "string", "from": "params.tag"}},
              "outputs": {"o": {"type": "file", "path": "b.txt"}}},
         ],
         "outputs": {"b": "taint.o"},
@@ -627,6 +647,22 @@ def test_task_cannot_poison_the_store_through_its_input(tmp_path, kind):
     result = run_once(ws, graph_for(tmp_path, tainting_chain(kind)), Policy.LINK)
     assert result.states["make"].state == "succeeded"  # the entry became a miss
     assert result.states["taint"].state == "failed"
+    assert made.read_text() == "clean\n"
+    assert_blobs_match_names(str(ws))
+
+    # A linked output shares its inode with the store, and so with the
+    # input staged from it: tainting that input also changes the output,
+    # which the next update must then remake.
+    ws = tmp_path / "linked"
+    made = ws / "a" if kind == "file" else ws / "a" / "f"
+    good = graph_for(tmp_path, tainting_chain(kind), {"tag": "good"})
+    assert run_once(ws, good, Policy.UPDATE).ok
+    result = run_once(ws, graph_for(tmp_path, tainting_chain(kind)), Policy.LINK)
+    assert result.states["make"].state == "cached"
+    assert "ModifiedInput(i)" in result.states["taint"].error
+    result = run_once(ws, good, Policy.UPDATE)
+    assert result.states["make"].state == "succeeded"
+    assert result.ok
     assert made.read_text() == "clean\n"
     assert_blobs_match_names(str(ws))
 
