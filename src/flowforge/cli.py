@@ -380,7 +380,7 @@ def prov_lineage(digest, workdir):
     from . import provenance
 
     digest = digest.lower()
-    if len(digest) != 64 or any(c not in "0123456789abcdef" for c in digest):
+    if not provenance.DIGEST_RE.fullmatch(digest):
         raise CliError("%r is not a sha256 hex digest" % digest)
     runs_dir = os.path.join(os.path.abspath(workdir), "runs")
     result = provenance.lineage(runs_dir, digest)

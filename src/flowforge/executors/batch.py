@@ -3,10 +3,11 @@
 The normative test target is the mock backend plus the bundled
 `simbatch` runner. Spool protocol: `submit` writes `<jobid>.sh` and a
 `<jobid>.state` file holding one of `pending`, `running`, or
-`done:<exit>`; a runner claims pending scripts FIFO by job id and
-executes them with configurable concurrency. A real site template
-(Slurm-style) ships as configuration only and is exercised by rendering
-tests, never by submission.
+`done:<exit>`; `_job_files` is the one place that spells this layout.
+A runner claims pending scripts FIFO by job id and executes them with
+configurable concurrency, tracking the jobs it claimed by their futures.
+A real site template (Slurm-style) ships as configuration only and is
+exercised by rendering tests, never by submission.
 """
 
 from __future__ import annotations
@@ -70,21 +71,17 @@ class MockBatchBackend:
         self.spool_dir = os.fspath(spool_dir)
         os.makedirs(self.spool_dir, exist_ok=True)
 
-    def _paths(self, job_id: str):
-        return (os.path.join(self.spool_dir, job_id + ".sh"),
-                os.path.join(self.spool_dir, job_id + ".state"))
-
     def submit(self, script: str) -> str:
         # Zero-padded nanosecond prefix keeps lexicographic order FIFO.
         job_id = "%020d-%06d" % (time.time_ns(), next(self._seq) % 1000000)
-        script_path, state_path = self._paths(job_id)
+        script_path, state_path = _job_files(self.spool_dir, job_id)
         # The state first: a runner takes up a script once it appears.
         _write_state(state_path, "pending")
         replace_file(script_path, script.encode())
         return job_id
 
     def poll(self, job_id: str) -> BatchJobState:
-        raw = _read_state(self._paths(job_id)[1])
+        raw = _read_state(_job_files(self.spool_dir, job_id)[1])
         if raw in ("pending", "running"):
             return BatchJobState(raw)
         if raw is not None and raw.startswith("done:"):
@@ -97,11 +94,17 @@ class MockBatchBackend:
     def cancel(self, job_id: str):
         """Idempotent: pending jobs are marked done with the conventional
         SIGTERM exit; running/done jobs are left alone."""
-        script_path, state_path = self._paths(job_id)
+        script_path, state_path = _job_files(self.spool_dir, job_id)
         if self.poll(job_id).phase == "pending":
             _write_state(state_path, "done:143")
             if os.path.exists(script_path):
                 os.unlink(script_path)
+
+
+def _job_files(spool_dir: str, job_id: str) -> tuple[str, str]:
+    """A job's script and state file in the spool."""
+    base = os.path.join(spool_dir, job_id)
+    return base + ".sh", base + ".state"
 
 
 def _write_state(path: str, value: str):
@@ -118,8 +121,7 @@ def _read_state(path: str) -> str | None:
 
 
 def run_spool(spool_dir: str, concurrency: int = 1, drain: bool = False,
-              stop_event: threading.Event | None = None,
-              poll_interval: float = POLL_INTERVAL):
+              stop_event: threading.Event | None = None):
     """Execute spooled scripts FIFO with at most `concurrency` at once.
 
     With drain=True returns once the spool is empty and all claimed
@@ -127,46 +129,27 @@ def run_spool(spool_dir: str, concurrency: int = 1, drain: bool = False,
     runner per spool directory.
     """
     os.makedirs(spool_dir, exist_ok=True)
-    active: set = set()
-    lock = threading.Lock()
+    slots = max(1, concurrency)
+    running: set = set()  # futures of the jobs claimed and not yet done
 
-    def execute(job_id: str, script_path: str, state_path: str):
-        try:
-            exit_code, _ = spawn(["sh", script_path], None, os.devnull, os.devnull)
-            _write_state(state_path, "done:%d" % exit_code)
-        finally:
-            with lock:
-                active.discard(job_id)
+    def execute(script_path: str, state_path: str):
+        exit_code, _ = spawn(["sh", script_path], None, os.devnull, os.devnull)
+        _write_state(state_path, "done:%d" % exit_code)
 
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
-        while True:
-            if stop_event is not None and stop_event.is_set():
+    with ThreadPoolExecutor(max_workers=slots) as pool:
+        while stop_event is None or not stop_event.is_set():
+            running = {job for job in running if not job.done()}
+            scripts = [name[:-3] for name in sorted(os.listdir(spool_dir))
+                       if name.endswith(".sh") and not name.startswith(".")]
+            pending = [job_id for job_id in scripts
+                       if _read_state(_job_files(spool_dir, job_id)[1]) == "pending"]
+            if drain and not pending and not running:
                 break
-            pending = []
-            for name in sorted(os.listdir(spool_dir)):
-                if not name.endswith(".sh") or name.startswith("."):
-                    continue
-                job_id = name[:-3]
-                if _read_state(os.path.join(spool_dir, job_id + ".state")) == "pending":
-                    pending.append(job_id)
-
-            claimed = False
-            for job_id in pending:
-                with lock:
-                    if len(active) >= max(1, concurrency):
-                        break
-                    active.add(job_id)
-                script_path = os.path.join(spool_dir, job_id + ".sh")
-                state_path = os.path.join(spool_dir, job_id + ".state")
+            for job_id in pending[:slots - len(running)]:
+                script_path, state_path = _job_files(spool_dir, job_id)
                 _write_state(state_path, "running")
-                pool.submit(execute, job_id, script_path, state_path)
-                claimed = True
-
-            with lock:
-                idle = not active
-            if drain and idle and not pending and not claimed:
-                break
-            time.sleep(poll_interval)
+                running.add(pool.submit(execute, script_path, state_path))
+            time.sleep(POLL_INTERVAL)
 
 
 def simbatch_main(argv=None) -> int:
@@ -177,10 +160,8 @@ def simbatch_main(argv=None) -> int:
     parser.add_argument("--concurrency", type=int, default=1)
     parser.add_argument("--drain", action="store_true",
                         help="exit when the spool is empty")
-    parser.add_argument("--interval", type=float, default=POLL_INTERVAL)
     args = parser.parse_args(argv)
-    run_spool(args.spool, args.concurrency, drain=args.drain,
-              poll_interval=args.interval)
+    run_spool(args.spool, args.concurrency, drain=args.drain)
     return 0
 
 
@@ -225,7 +206,7 @@ class BatchExecutor:
         while True:
             state = self.backend.poll(job_id)
             if state.phase == "done":
-                for path in self.backend._paths(job_id):
+                for path in _job_files(self.backend.spool_dir, job_id):
                     with contextlib.suppress(FileNotFoundError):  # cancel() took it
                         os.unlink(path)
                 return collect_outcome(spec, state.exit_code)

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field, replace
 
 FORMAT_VERSION = 1
 
-ID_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
+ID_RE = re.compile(r"[A-Za-z0-9_-]+")  # an identifier, matched whole
 # `params` is the reserved source-reference namespace, never a process id.
 RESERVED_IDS = frozenset({"params"})
-PLACEHOLDER_RE = re.compile(r"\{(inputs|outputs)\.([A-Za-z0-9_-]+)\}")
+PLACEHOLDER_RE = re.compile(r"\{(inputs|outputs)\.(%s)\}" % ID_RE.pattern)
 
 VALUE_KINDS = frozenset({"string", "integer", "float", "boolean"})
 ARTIFACT_KINDS = frozenset({"file", "directory"})
@@ -58,7 +58,12 @@ class ParseError(WorkflowError):
 
 
 class FlattenError(WorkflowError):
-    """Composition cannot be inlined (include cycle, bad mapping, missing file)."""
+    """Composition cannot be inlined; `code` is the finding it validates as:
+    include-cycle, missing-file or mapping-mismatch."""
+
+    def __init__(self, message, code="mapping-mismatch"):
+        super().__init__(message)
+        self.code = code
 
 
 @dataclass(frozen=True)
@@ -297,7 +302,7 @@ def _check_keys(node, allowed, where):
 def _check_id(name, where):
     if not isinstance(name, str) or not ID_RE.fullmatch(name):
         raise ParseError(
-            "identifier must match [A-Za-z0-9_-]+, got %r" % (name,), where=where)
+            "identifier must match %s, got %r" % (ID_RE.pattern, name), where=where)
     if name in RESERVED_IDS:
         raise ParseError("%r is a reserved identifier" % name, where=where)
     return name
@@ -532,7 +537,8 @@ class WorkflowLoader:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise FlattenError("subworkflow file not found: %s" % path) from exc
+            raise FlattenError("subworkflow file not found: %s" % path,
+                               "missing-file") from exc
         return parse_workflow(text, source=path), os.path.realpath(path), os.path.dirname(path)
 
 
@@ -606,7 +612,7 @@ def _flatten_level(wf, cur_dir, top_dir, loader, stack):
         inner_def, key, inner_dir = loader.load(proc.subworkflow, cur_dir)
         if key in stack:
             chain = " -> ".join(list(stack) + [key])
-            raise FlattenError("include cycle: %s" % chain)
+            raise FlattenError("include cycle: %s" % chain, "include-cycle")
         inner_procs, inner_params, inner_outs = _flatten_level(
             inner_def, inner_dir, top_dir, loader, stack + (key,))
 
@@ -642,7 +648,7 @@ def _flatten_level(wf, cur_dir, top_dir, loader, stack):
                 src = decl.source
                 if src in source_map:
                     src = source_map[src]
-                elif not src.startswith("params."):
+                elif param_ref(src) is None:
                     src = "%s.%s" % (proc.id, src)
                 new_inputs[port] = InputDecl(decl.type, src)
             processes.append(replace(
@@ -652,7 +658,7 @@ def _flatten_level(wf, cur_dir, top_dir, loader, stack):
             name: "%s.%s" % (proc.id, ref) for name, ref in inner_outs.items()}
 
     def resolve(ref, context):
-        if ref.startswith("params."):
+        if param_ref(ref) is not None:
             return ref
         head, port = split_ref(ref)
         if head in sub_outputs:
@@ -766,9 +772,7 @@ def validate(wf: WorkflowDef, base_dir: str | None = None,
     try:
         flat = flatten(wf, loader, base_dir, source_path)
     except FlattenError as exc:
-        code = "include-cycle" if "include cycle" in str(exc) else (
-            "missing-file" if "not found" in str(exc) else "mapping-mismatch")
-        report.add(code, str(exc))
+        report.add(exc.code, str(exc))
         return report
     except ParseError as exc:
         report.add("parse-error", str(exc))

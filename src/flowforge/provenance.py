@@ -14,7 +14,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .model import FlatWorkflow, ProcessDef
+from .model import FlatWorkflow, ProcessDef, split_ref
 
 PROV_SCHEMA = "flowforge-prov-v1"
 PROV_NAME = "provenance.json"
@@ -77,9 +77,12 @@ class TaskProvRecord:
     def from_data(cls, data: dict) -> "TaskProvRecord":
         """The record in `data`, a stored document's task entry or a
         task-finished payload with task, action and times added. Raises
-        ValueError when the record or a section of it is no mapping, or
-        a file digest is no digest."""
+        ValueError when the record or a section of it is no mapping, its
+        task is no string, or a file digest is no digest."""
         data = _mapping(data, "task record")
+        if not isinstance(data["task"], str):
+            raise ValueError("task record: task is a %s, not a string"
+                             % type(data["task"]).__name__)
         inputs = data.get("inputs", {})
         input_files, _ = record_sections(inputs, "inputs")
         output_files, value_outputs = record_sections(data.get("outputs", {}),
@@ -110,7 +113,7 @@ def _mapping(data, what: str) -> dict:
     return data
 
 
-_DIGEST = re.compile(r"[0-9a-f]{64}")
+DIGEST_RE = re.compile(r"[0-9a-f]{64}")  # a sha256 digest in hex
 
 
 def record_sections(data, what: str) -> tuple[dict, dict]:
@@ -120,7 +123,7 @@ def record_sections(data, what: str) -> tuple[dict, dict]:
     empty. Raises ValueError when `data` or a section is no mapping, or
     a digest is not 64 lowercase hex digits."""
     files = dict(_mapping(_mapping(data, what).get("files", {}), what + " files"))
-    if not all(isinstance(d, str) and _DIGEST.fullmatch(d) for d in files.values()):
+    if not all(isinstance(d, str) and DIGEST_RE.fullmatch(d) for d in files.values()):
         raise ValueError("%s files: a digest is not 64 lowercase hex digits" % what)
     return files, dict(_mapping(data.get("values", {}), what + " values"))
 
@@ -362,7 +365,7 @@ def lineage(runs_dir: str, digest: str) -> LineageResult:
             # a literal this task consumed
             for port, src in rec.input_sources.items():
                 if port in rec.literal_inputs:
-                    upstream = src.rpartition(".")[0]
+                    upstream = split_ref(src)[0]
                     task_frontier.append((run_id, upstream))
 
     return LineageResult(digest, sorted(tasks), sorted(artifacts))
@@ -404,7 +407,7 @@ def _dot_workflow(fw: FlatWorkflow) -> str:
         lines.append("  %s [shape=box];" % _dot_id(proc.id))
     for proc in fw.processes:
         for port, decl in proc.inputs.items():
-            producer, _, out_port = decl.source.rpartition(".")
+            producer, out_port = split_ref(decl.source)
             if producer not in outputs_by_proc:
                 continue  # param-fed input: no node for it
             out_decl = outputs_by_proc[producer].outputs.get(out_port)
@@ -431,7 +434,7 @@ def _dot_doc(doc: ProvenanceDoc) -> str:
     for rec in doc.records:
         for port in sorted(rec.input_sources):
             src = rec.input_sources[port]
-            producer, _, out_port = src.rpartition(".")
+            producer, out_port = split_ref(src)
             if producer not in known:
                 continue
             dashed = port in rec.literal_inputs

@@ -50,7 +50,7 @@ from .cache import (CacheEntry, CacheError, CacheStore, link_file, read_entry,
 from .canon import file_digest
 from .executors import OutputSpec, StagedInput, TaskSpec, artifact_present
 from .executors.local import LocalExecutor
-from .model import env_to_data
+from .model import env_to_data, param_ref, split_ref
 from .planner import (
     Blob,
     Literal,
@@ -552,7 +552,7 @@ class Runner:
                 for name in {digest, binding.digest}:
                     with contextlib.suppress(FileNotFoundError):
                         os.unlink(self.cache.blob_path(name))
-                producer = task.input_sources[port].rpartition(".")[0]
+                producer = split_ref(task.input_sources[port])[0]
                 if producer in task.deps:
                     output = binding.source if member is None else os.path.join(
                         binding.source, member.replace("/", os.sep))
@@ -608,7 +608,7 @@ class Runner:
             elif isinstance(binding, Blob):
                 input_files[port] = binding.digest
             src = task.input_sources.get(port, "")
-            if src and not src.startswith("params."):
+            if src and param_ref(src) is None:
                 sources[port] = src  # full "<producer>.<port>" ref
         return {
             "state": result.state,

@@ -152,6 +152,29 @@ def test_spool_runs_fifo(tmp_path):
     assert log.read_text() == "0\n1\n2\n"
 
 
+def test_spool_runs_at_most_concurrency_jobs_and_drains(tmp_path):
+    spool = tmp_path / "spool"
+    backend = MockBatchBackend(str(spool))
+    log = tmp_path / "spans.log"
+    # each start line also counts the jobs whose state reads `running`
+    script = ("#!/bin/sh\necho start $(grep -lx running %s/*.state | wc -l) >> %s\n"
+              "sleep 0.3\necho end >> %s\n" % (spool, log, log))
+    jobs = [backend.submit(script) for _ in range(4)]
+    run_spool(str(spool), concurrency=2, drain=True)
+    # drain returned: every job is done, and each one wrote both of its lines
+    assert all(backend.poll(j).phase == "done" and backend.poll(j).exit_code == 0
+               for j in jobs)
+    lines = log.read_text().splitlines()
+    starts = [int(line.split()[1]) for line in lines if line.startswith("start")]
+    assert len(starts) == lines.count("end") == 4
+    assert max(starts) <= 2
+    depth, peak = 0, 0
+    for line in lines:
+        depth += 1 if line.startswith("start") else -1
+        peak = max(peak, depth)
+    assert peak == 2
+
+
 def test_poll_is_idempotent_and_lost_for_unknown(tmp_path):
     backend = MockBatchBackend(str(tmp_path / "spool"))
     assert backend.poll("nope").phase == "lost"

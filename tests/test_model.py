@@ -2,15 +2,19 @@
 
 import json
 import os
+import re
 import time
 
 import pytest
 
-from flowforge.model import (EnvSpec, FlattenError, ParseError, WorkflowLoader,
-                             check_value, flatten, param_ref, parse_type,
-                             parse_workflow, render_value_text, split_ref,
-                             types_compatible, validate)
+from flowforge.model import (ID_RE, EnvSpec, FlattenError, ParseError,
+                             WorkflowLoader, check_value, flatten, param_ref,
+                             parse_type, parse_workflow, render_value_text,
+                             split_ref, types_compatible, validate)
 from conftest import NEGATIVE_DIR, USECASE_DIR
+
+FORMAT_DOC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                          "docs", "workflow-format.md")
 
 
 def load_usecase():
@@ -119,6 +123,22 @@ outputs:
     wf = parse_workflow(text)
     assert wf.processes[0].id == "only"
     assert wf.processes[0].outputs["out"].path == "out.txt"
+
+
+def test_the_documented_identifier_rule_is_the_code_rule():
+    with open(FORMAT_DOC, encoding="utf-8") as fh:
+        rule = re.search(r"identifiers \(([^)]*)\)\s+match `([^`]+)`", fh.read(),
+                         re.I)
+    assert "workflow name" not in rule.group(1)
+    assert rule.group(2) == ID_RE.pattern
+    wf = parse_workflow(json.dumps({
+        "name": "x y",
+        "processes": [{"id": "9-a", "command": ["true"],
+                       "outputs": {"o": {"type": "file", "path": "o.txt"}}}]}))
+    assert (wf.name, wf.processes[0].id) == ("x y", "9-a")
+    with pytest.raises(ParseError, match=re.escape(ID_RE.pattern)):
+        parse_workflow(json.dumps({
+            "name": "w", "processes": [{"id": "a.b", "command": ["true"]}]}))
 
 
 @pytest.mark.parametrize("mutate,message", [
@@ -274,6 +294,38 @@ def test_flatten_mapping_type_mismatch(tmp_path):
     with pytest.raises(FlattenError) as err:
         flatten(outer, WorkflowLoader(), str(tmp_path))
     assert "does not match inner param type" in str(err.value)
+
+
+@pytest.mark.parametrize("subdir", ["not found", "include cycle"])
+def test_a_mapping_error_is_a_mapping_mismatch_whatever_the_path(tmp_path, subdir):
+    inner = tmp_path / subdir / "sub.wf"
+    inner.parent.mkdir()
+    inner.write_text(json.dumps({
+        "name": "sub",
+        "processes": [{"id": "p", "command": ["true"],
+                       "outputs": {"o": {"type": "file", "path": "o.txt"}}}]}))
+    outer = parse_workflow(json.dumps({
+        "name": "outer",
+        "params": {"x": {"type": "string", "default": "v"}},
+        "processes": [{"id": "m", "subworkflow": subdir + "/sub.wf",
+                       "inputs": {"zz": {"type": "string", "from": "params.x"}}}]}))
+    report = validate(outer, str(tmp_path))
+    assert [f.code for f in report.findings] == ["mapping-mismatch"]
+    assert "'zz', which is not a param of" in report.findings[0].message
+
+
+def test_validate_files_missing_and_cyclic_subworkflows(tmp_path):
+    missing = parse_workflow(json.dumps({
+        "name": "outer",
+        "processes": [{"id": "m", "subworkflow": "gone.wf", "inputs": {}}]}))
+    assert [f.code for f in validate(missing, str(tmp_path)).findings] == ["missing-file"]
+    a = tmp_path / "a.wf"
+    a.write_text(json.dumps({
+        "name": "a",
+        "processes": [{"id": "self", "subworkflow": "a.wf", "inputs": {}}]}))
+    cyclic = parse_workflow(a.read_text(), source=str(a))
+    report = validate(cyclic, str(tmp_path), source_path=str(a))
+    assert [f.code for f in report.findings] == ["include-cycle"]
 
 
 # -- validation ----------------------------------------------------------------

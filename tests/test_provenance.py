@@ -490,6 +490,7 @@ MALFORMED = {
     "env-is-a-string": (first_task(env="none"), b""),
     "inputs-is-a-list": (first_task(inputs=[]), b""),
     "outputs-is-a-list": (first_task(outputs=[]), b""),
+    "task-is-a-number": (first_task(task=5), b""),
     "not-utf-8": (lambda doc: doc, b"\xff"),
 }
 
