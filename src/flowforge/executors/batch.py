@@ -6,6 +6,10 @@ The normative test target is the mock backend plus the bundled
 `done:<exit>`; `_job_files` is the one place that spells this layout.
 A runner claims pending scripts FIFO by job id and executes them with
 configurable concurrency, tracking the jobs it claimed by their futures.
+The runner sleeps on an event that a submit or a job's end sets, and a
+job's end wakes the submitters waiting on a condition, so in-process
+nothing waits for a tick; `POLL_INTERVAL` is only the fallback for a
+submitter in another process, which cannot set the event.
 A real site template (Slurm-style) ships as configuration only and is
 exercised by rendering tests, never by submission.
 """
@@ -29,7 +33,7 @@ from . import (Outcome, STDERR_NAME, STDOUT_NAME, TaskSpec, collect_outcome,
 
 DEFAULT_RESOURCES = {"cpus": 1, "memory": "1024M", "walltime": "00:10:00"}
 RUNNER_CONCURRENCY = 8  # jobs BatchExecutor's in-process runner runs at once
-POLL_INTERVAL = 0.02  # seconds between spool scans and job-state polls
+POLL_INTERVAL = 0.02  # seconds a runner or submitter waits at most for a wake
 
 # The mock template is a plain shell script; {script} carries the body.
 MOCK_TEMPLATE = """#!/bin/sh
@@ -121,20 +125,39 @@ def _read_state(path: str) -> str | None:
 
 
 def run_spool(spool_dir: str, concurrency: int = 1, drain: bool = False,
-              stop_event: threading.Event | None = None):
+              stop_event: threading.Event | None = None,
+              wake: threading.Event | None = None,
+              job_ended: threading.Condition | None = None):
     """Execute spooled scripts FIFO with at most `concurrency` at once.
 
     With drain=True returns once the spool is empty and all claimed
     jobs finished; otherwise loops until stop_event is set. Single
-    runner per spool directory.
+    runner per spool directory. Between scans the runner waits on
+    `wake`, at most POLL_INTERVAL; setting it (after a submit, or to
+    stop) makes the runner scan at once. Once a job's `done:` state is
+    written, the runner sets `wake` and notifies `job_ended`.
     """
     os.makedirs(spool_dir, exist_ok=True)
     slots = max(1, concurrency)
     running: set = set()  # futures of the jobs claimed and not yet done
+    wake = wake or threading.Event()
 
     def execute(script_path: str, state_path: str):
-        exit_code, _ = spawn(["sh", script_path], None, os.devnull, os.devnull)
-        _write_state(state_path, "done:%d" % exit_code)
+        exit_code = -1  # the state a job gets if it ends with no exit code
+        try:
+            exit_code, _ = spawn(["sh", script_path], None, os.devnull, os.devnull)
+        finally:
+            _write_state(state_path, "done:%d" % exit_code)
+
+    def ended(job):
+        # Set from the future, not the job body: a scan the wake starts
+        # then sees this job done and frees its slot.
+        wake.set()
+        if job_ended is not None:
+            with job_ended:
+                job_ended.notify_all()
+        if job.exception() is not None:
+            print("simbatch: job failed: %s" % job.exception(), file=sys.stderr)
 
     with ThreadPoolExecutor(max_workers=slots) as pool:
         while stop_event is None or not stop_event.is_set():
@@ -148,8 +171,13 @@ def run_spool(spool_dir: str, concurrency: int = 1, drain: bool = False,
             for job_id in pending[:slots - len(running)]:
                 script_path, state_path = _job_files(spool_dir, job_id)
                 _write_state(state_path, "running")
-                running.add(pool.submit(execute, script_path, state_path))
-            time.sleep(POLL_INTERVAL)
+                job = pool.submit(execute, script_path, state_path)
+                running.add(job)
+                job.add_done_callback(ended)
+            # Cleared after the wait, before the stop check and the scan,
+            # so a wake set during a scan is seen by the next wait.
+            wake.wait(POLL_INTERVAL)
+            wake.clear()
 
 
 def simbatch_main(argv=None) -> int:
@@ -169,9 +197,10 @@ class BatchExecutor:
     """Executes TaskSpecs by spooling job scripts and polling their state.
 
     An in-process simbatch loop runs in a daemon thread, so a single
-    command covers the whole submit/run/poll cycle. A finished job's
-    script and state file leave the spool once read, so the loop scans
-    only live jobs.
+    command covers the whole submit/run/poll cycle. A submit wakes that
+    runner, and a job's end wakes the submitters, so neither waits out
+    POLL_INTERVAL. A finished job's script and state file leave the
+    spool once read, so the loop scans only live jobs.
     """
 
     name = "batch:mock"
@@ -179,16 +208,18 @@ class BatchExecutor:
     def __init__(self, spool_dir: str):
         self.backend = MockBatchBackend(spool_dir)
         self._stop = threading.Event()
+        self._wake = threading.Event()
+        self._job_ended = threading.Condition()
         self._runner = threading.Thread(
             target=run_spool, args=(spool_dir, RUNNER_CONCURRENCY),
-            kwargs={"stop_event": self._stop}, daemon=True)
+            kwargs={"stop_event": self._stop, "wake": self._wake,
+                    "job_ended": self._job_ended}, daemon=True)
         self._runner.start()
 
     def close(self):
         self._stop.set()
-        if self._runner is not None:
-            self._runner.join(timeout=5)
-            self._runner = None
+        self._wake.set()
+        self._runner.join(timeout=5)
 
     def __enter__(self):
         return self
@@ -203,17 +234,27 @@ class BatchExecutor:
             shlex.quote(STDOUT_NAME), shlex.quote(STDERR_NAME))
         script = render_job_script(MOCK_TEMPLATE, body, spec.task_id, spec.resources)
         job_id = self.backend.submit(script)
-        while True:
-            state = self.backend.poll(job_id)
-            if state.phase == "done":
-                for path in _job_files(self.backend.spool_dir, job_id):
-                    with contextlib.suppress(FileNotFoundError):  # cancel() took it
-                        os.unlink(path)
-                return collect_outcome(spec, state.exit_code)
-            if state.phase == "lost":
-                return collect_outcome(
-                    spec, -1, error="batch job %s lost" % job_id)
-            time.sleep(POLL_INTERVAL)
+        self._wake.set()
+        # Polled under the lock the runner notifies with, so its notify
+        # cannot fall between a poll and the wait.
+        with self._job_ended:
+            while True:
+                # Asked before the poll: a runner that ended has written
+                # every state it will write.
+                runner_alive = self._runner.is_alive()
+                state = self.backend.poll(job_id)
+                if state.phase in ("done", "lost") or not runner_alive:
+                    break
+                self._job_ended.wait(POLL_INTERVAL)
+        if state.phase == "done":
+            for path in _job_files(self.backend.spool_dir, job_id):
+                with contextlib.suppress(FileNotFoundError):  # cancel() took it
+                    os.unlink(path)
+            return collect_outcome(spec, state.exit_code)
+        if state.phase == "lost":
+            return collect_outcome(spec, -1, error="batch job %s lost" % job_id)
+        return collect_outcome(
+            spec, -1, error="batch runner ended before job %s did" % job_id)
 
 
 if __name__ == "__main__":

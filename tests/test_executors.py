@@ -2,12 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
 
 import flowforge
-from flowforge.executors import (OutputSpec, StagedInput, TaskSpec,
+from flowforge.executors import (OutputSpec, StagedInput, TaskSpec, batch,
                                  collect_outcome, make_executor)
 from flowforge.executors.batch import (MOCK_TEMPLATE, BatchExecutor,
                                        MockBatchBackend, render_job_script,
@@ -22,6 +25,27 @@ def spec_for(workdir, argv, outputs=(), inputs=()):
     os.makedirs(workdir, exist_ok=True)
     return TaskSpec("t1", tuple(argv), str(workdir),
                     tuple(inputs), tuple(outputs))
+
+
+def within(seconds, call, *args):
+    """call(*args) run in a daemon thread, so that a call that hangs fails
+    the test after `seconds` instead of stalling the suite."""
+    result = {}
+
+    def target():
+        try:
+            result["value"] = call(*args)
+        except BaseException as exc:  # re-raised in the test's own thread
+            result["error"] = exc
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "%s still waiting after %s s" % (
+        call.__name__, seconds)
+    if "error" in result:
+        raise result["error"]
+    return result["value"]
 
 
 def file_out(port, path):
@@ -219,6 +243,103 @@ def test_batch_executor_leaves_no_job_files(tmp_path):
                 spec_for(tmp_path / ("w%d" % n), ["sh", "-c", "exit %d" % n]))
             assert outcome.exit_code == n
     assert os.listdir(spool) == []
+
+
+def test_batch_executor_waits_for_no_tick(tmp_path, monkeypatch):
+    # A submit wakes the runner, a job's end wakes the submitter, and
+    # close() wakes the runner to stop: with a 30-s tick all of it still
+    # takes well under a second.
+    monkeypatch.setattr(batch, "POLL_INTERVAL", 30.0)
+
+    def three_jobs_then_close():
+        executor = BatchExecutor(str(tmp_path / "spool"))
+        codes = [executor.execute(spec_for(tmp_path / ("w%d" % n),
+                                           ["sh", "-c", "exit %d" % n])).exit_code
+                 for n in range(3)]
+        executor.close()
+        return codes, executor._runner
+
+    codes, runner = within(10, three_jobs_then_close)
+    assert codes == [0, 1, 2]
+    assert not runner.is_alive()
+
+
+def test_batch_wakes_are_not_lost_under_concurrent_submitters(tmp_path, monkeypatch):
+    # More submitting threads than cores, switching often: a wake or a
+    # notify lost between a check and its wait would stall for the tick.
+    monkeypatch.setattr(batch, "POLL_INTERVAL", 30.0)
+
+    def six_submitters():
+        codes = {}
+        with BatchExecutor(str(tmp_path / "spool")) as executor:
+            def submit(n):
+                codes[n] = [executor.execute(spec_for(
+                    tmp_path / ("w%d-%d" % (n, k)), ["sh", "-c", "exit %d" % k])).exit_code
+                    for k in range(3)]
+
+            threads = [threading.Thread(target=submit, args=(n,), daemon=True)
+                       for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        return [codes.get(n) for n in range(6)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        codes = within(20, six_submitters)
+    finally:
+        sys.setswitchinterval(interval)
+    assert codes == [[0, 1, 2]] * 6
+
+
+def test_spool_drain_waits_for_no_tick(tmp_path, monkeypatch):
+    # With one slot, each job's end must free the slot for the next at once.
+    monkeypatch.setattr(batch, "POLL_INTERVAL", 30.0)
+    spool = tmp_path / "spool"
+    backend = MockBatchBackend(str(spool))
+    log = tmp_path / "order.log"
+    for i in range(3):
+        backend.submit("#!/bin/sh\necho %d >> %s\n" % (i, log))
+    within(10, run_spool, str(spool), 1, True)
+    assert log.read_text() == "0\n1\n2\n"
+
+
+def test_batch_job_whose_runner_side_raises_fails(tmp_path, monkeypatch):
+    def broken_spawn(*args):
+        raise RuntimeError("spawn broke")
+
+    monkeypatch.setattr(batch, "spawn", broken_spawn)
+    spool = tmp_path / "spool"
+    with BatchExecutor(str(spool)) as executor:
+        outcome = within(10, executor.execute,
+                         spec_for(tmp_path / "w", ["sh", "-c", "exit 0"]))
+    assert outcome.exit_code == -1 and not outcome.success
+    # execute() takes a job's files only once its state reads done
+    assert os.listdir(spool) == []
+
+
+def test_batch_executor_fails_jobs_once_its_runner_ended(tmp_path):
+    executor = BatchExecutor(str(tmp_path / "spool"))
+    executor.close()
+    outcome = within(10, executor.execute,
+                     spec_for(tmp_path / "w", ["sh", "-c", "exit 0"]))
+    assert not outcome.success and "runner ended" in outcome.error
+
+
+def test_simbatch_drains_a_spool_another_process_filled(tmp_path):
+    # Nothing in simbatch's process sets its wake: only the tick finds
+    # these jobs.
+    spool = tmp_path / "spool"
+    backend = MockBatchBackend(str(spool))
+    jobs = [backend.submit("#!/bin/sh\nexit 0\n") for _ in range(3)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowforge.executors.batch", "--spool", str(spool),
+         "--concurrency", "2", "--drain"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert [backend.poll(j) for j in jobs] == [batch.BatchJobState("done", 0)] * 3
 
 
 # -- remote loopback ---------------------------------------------------------------
