@@ -6,32 +6,41 @@ Layout:
 
 A task result is a CacheEntry: fingerprint, producing run, file outputs
 by digest and value outputs. The workspace stamp that the update policy
-reads is the same record in the same bytes, the entry of the outputs a
-task last placed in the workspace, written as CacheEntry.to_bytes and
-read by read_entry.
+reads is the same record, the entry of the outputs a task last placed
+in the workspace, plus one key that only a stamp carries: the stat of
+each file placed (scheduler.Stamp), so an entry holds no workspace
+data. Both are compact JSON (encode_record), read by read_entry; those
+written indented by earlier versions read the same.
 
-put_blob is the one place that reads an artifact into the store. It
-hashes a file while reading it, into memory when it fits in one read
-chunk and into a temp file otherwise, then installs the bytes read by
-atomic rename under their digest, so a blob's name is its content's
-hash even if the source changes meanwhile. Content that is already
-stored and fits in a chunk costs no create. Every other small file the
-engine keeps (entries, stamps, provenance, spool states) is replaced
-whole through replace_file. Temp files are dot-files named for the
-target and their writer (process, thread and call), so concurrent
-writers never share one and no listing of records sees them. A blob's
-temp file is created read-only: stored blobs are read-only because
-task sandboxes and linked workspaces hard-link them.
-A blob already stored is never rewritten, so those links keep sharing
-its one inode. Directories are made on the first write that misses
-them, not checked before each write. Directory outputs are stored as a
+put_blob is the one place that installs a blob. A file a task produced,
+which the engine owns (a regular file with one link), is adopted: made
+read-only, hashed in place, hard-linked under its digest and stat'ed
+again, so its bytes are written once, by the task, and stored once; a
+size or mtime that moved means a writer was still at work, and the
+blob goes (executors.spawn kills what a task leaves running). Anything
+else (an external input, a symlink, a hard link to a file outside the
+sandbox) is copied: hashed while it is read, into memory when it fits
+in one read chunk and into a temp file otherwise, and installed by
+atomic rename under the digest of the bytes read, so a file the engine
+does not own is never made read-only or shared with the store. Content
+already stored costs no create and is not rewritten, so the hard links
+to a blob (sandboxes, workspace outputs) keep sharing its inode; only a
+blob whose size is not that of the bytes just hashed is replaced. The
+scheduler finds the edits of placed outputs that ignore the read-only
+mode (checked_stamp). Every other small file the engine keeps
+(entries, stamps, provenance, spool states) is replaced whole through
+replace_file. Temp files are dot-files named for the target and their
+writer (process, thread and call), so concurrent writers never share
+one and no listing of records sees them. Directories are made on the first write that misses them,
+not checked before each write. Directory outputs are stored as a
 tree-manifest blob (canonical bytes, own digest) plus one blob per
 member file. gc keeps the entries of kept runs, the inputs those runs
 recorded and every blob either references; it reads the 13-byte head
 of each kept blob and only tree manifests whole, so its memory does
-not grow with output size. It holds an flock on cache/gc.lock while it
-runs and refuses to start when another gc holds it; the file stays, and
-one left by a killed gc holds no lock.
+not grow with output size. It unlinks a blob without making it
+writable, since a placed output may share its inode. It holds an flock
+on cache/gc.lock while it runs and refuses to start when another gc
+holds it; the file stays, and one left by a killed gc holds no lock.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ import json
 import logging
 import os
 import shutil
+import stat
 import threading
 from dataclasses import dataclass, field
 
@@ -73,13 +83,12 @@ class CacheEntry:
     file_outputs: dict[str, str]  # port -> blob digest (tree digest for dirs)
     value_outputs: dict[str, object]
 
+    def to_data(self) -> dict:
+        return {"fingerprint": self.fingerprint, "run": self.run_id,
+                "files": self.file_outputs, "values": self.value_outputs}
+
     def to_bytes(self) -> bytes:
-        return (json.dumps({
-            "fingerprint": self.fingerprint,
-            "run": self.run_id,
-            "files": self.file_outputs,
-            "values": self.value_outputs,
-        }, indent=1) + "\n").encode()
+        return encode_record(self.to_data())
 
     @classmethod
     def from_data(cls, data: dict) -> "CacheEntry":
@@ -115,12 +124,22 @@ class CacheStore:
     def has_blob(self, digest: str) -> bool:
         return os.path.isfile(self.blob_path(digest))
 
-    def put_blob(self, source) -> str:
+    def put_blob(self, source, adopt: bool = False) -> str:
         """Store bytes, or a file by path, hashed while it is read;
         returns the digest of the bytes stored. Idempotent: content
-        already present is left in place, not rewritten. A file that
+        already present is left in place, not rewritten, unless the
+        stored blob's size is not that of the bytes hashed. A file that
         fits in one CHUNK is hashed into memory, so storing it again
-        creates nothing; a larger one is hashed while it is copied."""
+        creates nothing; a larger one is hashed while it is copied.
+
+        With `adopt`, a file the engine owns (a regular file with one
+        link: a task's own output) is not copied but becomes the blob:
+        made read-only, hashed in place and hard-linked under its
+        digest. Raises CacheError when it changed while being stored."""
+        if adopt:
+            digest = self._adopt(source)
+            if digest is not None:
+                return digest
         data = None
         if isinstance(source, bytes):
             data, digest = source, hashlib.sha256(source).hexdigest()
@@ -128,7 +147,7 @@ class CacheStore:
             buf = io.BytesIO()
             digest = file_digest(source, out=buf)
             data = buf.getvalue()
-        if data is not None and self.has_blob(digest):
+        if data is not None and self._stored_size(digest) == len(data):
             return digest
         tmp, fd = _create_temp(self.objects_dir, "ingest", BLOB_MODE)
         try:
@@ -137,32 +156,61 @@ class CacheStore:
                     fh.write(data)
                 else:
                     digest = file_digest(source, out=fh)
-            dest = self.blob_path(digest)
-            if os.path.exists(dest):
+                size = fh.tell()
+            if self._stored_size(digest) == size:
                 os.unlink(tmp)
             else:
-                try:
-                    os.replace(tmp, dest)
-                except FileNotFoundError:  # first blob in this shard
-                    os.makedirs(os.path.dirname(dest), exist_ok=True)
-                    os.replace(tmp, dest)
+                _making_shard(os.replace, tmp, self.blob_path(digest))
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
             raise
         return digest
 
+    def _adopt(self, path) -> str | None:
+        """Make the file at `path` the blob of its bytes; returns their
+        digest, or None when `path` is not the engine's to adopt or
+        cannot be linked into the store (the caller copies it then)."""
+        before = os.lstat(path)
+        if not stat.S_ISREG(before.st_mode) or before.st_nlink != 1:
+            return None
+        os.chmod(path, BLOB_MODE)
+        digest = file_digest(path)
+        blob = self.blob_path(digest)
+        try:
+            _making_shard(os.link, path, blob)
+            linked = True
+        except FileExistsError:  # stored already: placed from the store
+            linked = False
+        except OSError:
+            return None
+        after = os.lstat(path)
+        if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
+            if linked:
+                os.unlink(blob)
+            raise CacheError("output changed while being stored: %s" % path)
+        if not linked and self._stored_size(digest) != before.st_size:
+            return None  # a damaged blob, which the copy replaces
+        return digest
+
+    def _stored_size(self, digest: str) -> int | None:
+        try:
+            return os.stat(self.blob_path(digest)).st_size
+        except FileNotFoundError:
+            return None
+
     def put_tree(self, root, dest=None) -> str:
         """Store a directory: every member file as a blob plus the
         canonical tree manifest; returns the tree digest. With `dest`,
-        each member is also hard-linked at its relpath under `dest` as
-        it is stored."""
+        `root` is a task's output: each member is adopted (see put_blob)
+        and its blob hard-linked at its relpath under `dest`."""
         root = os.fspath(root)
 
         def member(path):
-            digest = self.put_blob(path)
+            digest = self.put_blob(path, adopt=dest is not None)
             if dest is not None:
-                link_file(path, os.path.join(dest, path[len(root):].lstrip(os.sep)))
+                link_file(self.blob_path(digest),
+                          os.path.join(dest, path[len(root):].lstrip(os.sep)))
             return digest
         return self.put_blob(canon_bytes(tree_manifest(root, member)))
 
@@ -304,8 +352,7 @@ class CacheStore:
                     path = os.path.join(shard_dir, digest)
                     if digest in live_blobs:
                         report.kept_blobs += 1
-                    else:
-                        os.chmod(path, 0o644)
+                    else:  # no chmod: a placed output may share the inode
                         os.unlink(path)
                         report.removed_blobs.append(digest)
             return report
@@ -349,11 +396,27 @@ def replace_file(path: str, data: bytes):
         raise
 
 
-def read_entry(path: str) -> CacheEntry:
-    """The entry or stamp stored at `path`. Raises OSError, or ValueError,
-    KeyError or TypeError for bytes that are no entry."""
+def encode_record(data: dict) -> bytes:
+    """The bytes of an entry or stamp: compact JSON and a newline."""
+    return (json.dumps(data, separators=(",", ":")) + "\n").encode()
+
+
+def read_entry(path: str, kind=CacheEntry):
+    """The entry or stamp stored at `path`, read as `kind`: CacheEntry,
+    or a subclass whose from_data reads more of the record. Raises
+    OSError, or ValueError, KeyError or TypeError for bytes that are no
+    entry."""
     with open(path, encoding="utf-8") as fh:
-        return CacheEntry.from_data(json.load(fh))
+        return kind.from_data(json.load(fh))
+
+
+def _making_shard(move, src: str, dest: str):
+    """move(src, dest), making dest's directory when the move misses it."""
+    try:
+        move(src, dest)
+    except FileNotFoundError:  # first blob in this shard
+        os.makedirs(os.path.dirname(dest), exist_ok=True)
+        move(src, dest)
 
 
 def link_file(src: str, dest: str):

@@ -9,9 +9,12 @@ what makes local, batch, and remote execution interchangeable.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import signal
 import subprocess
+import threading
 from dataclasses import dataclass, field
 
 from ..canon import file_digest  # noqa: F401  (perfbench's tracer wraps it)
@@ -71,19 +74,48 @@ class Outcome:
         return self.exit_code == 0 and self.error is None
 
 
+_live_groups: set[int] = set()  # process groups of the tasks running now
+_groups_lock = threading.Lock()
+
+
 def spawn(argv, cwd: str | None, stdout_path: str,
           stderr_path: str) -> tuple[int, str | None]:
     """Run argv to completion with its streams in the two files and no
     stdin. Returns (exit code, None), or (127, error) when it cannot
-    start; the reason is then also written to stderr_path."""
+    start; the reason is then also written to stderr_path.
+
+    The command leads a process group of its own. Once it exits, and
+    before it is reaped (so its pid, the group's id, cannot be reused),
+    whatever it left running in that group is killed: no process of a
+    task outlives it to write the outputs the store then adopts."""
     with open(stdout_path, "wb") as out_fh, open(stderr_path, "wb") as err_fh:
         try:
-            proc = subprocess.run(list(argv), cwd=cwd, stdout=out_fh,
-                                  stderr=err_fh, stdin=subprocess.DEVNULL)
+            proc = subprocess.Popen(list(argv), cwd=cwd, stdout=out_fh,
+                                    stderr=err_fh, stdin=subprocess.DEVNULL,
+                                    start_new_session=True)
         except OSError as exc:
             err_fh.write(("%s\n" % exc).encode())
             return 127, "spawn failure: %s" % exc
-    return proc.returncode, None
+    with _groups_lock:
+        _live_groups.add(proc.pid)
+    try:
+        os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    finally:
+        with _groups_lock:
+            _live_groups.discard(proc.pid)
+    return proc.wait(), None
+
+
+def kill_live_groups():
+    """Kill the process group of every task running now, as an
+    interrupted run must: its tasks do not share the terminal's group,
+    so Ctrl-C does not reach them."""
+    with _groups_lock:
+        for pgid in _live_groups:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(pgid, signal.SIGKILL)
 
 
 def artifact_present(root: str, decl) -> bool:

@@ -17,7 +17,17 @@ the cache and workspace, the stamp, the cache entry. That is safe
 without locks because output paths are unique per task, the cache
 installs blobs and entries by atomic rename, and stamps are per task. A
 worker hands back only a TaskResult; the journal is fsynced once before
-each blocking wait.
+each blocking wait. A task runs in a process group of its own; a run
+that leaves by an exception, Ctrl-C included, kills the groups still
+running.
+
+A placed file output is a read-only hard link to its blob, and so is
+the file the task produced (the store adopts it), so an edit in place
+would reach the store. Stamps therefore record each placed file's
+(st_ino, st_size, st_mtime_ns), and before the walk decides any task,
+under every policy, it checks every task's placed files against its
+stamp (checked_stamp): a changed file costs one hash, a blob it changed
+leaves the store, and its stamp goes, so the task re-executes.
 
 Policy semantics (per task):
   recompute  always Execute.
@@ -43,14 +53,16 @@ import uuid
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from stat import S_ISREG
 
 from . import provenance, runstate
-from .cache import (CacheEntry, CacheError, CacheStore, link_file, read_entry,
-                    replace_file)
-from .canon import file_digest
-from .executors import OutputSpec, StagedInput, TaskSpec, artifact_present
+from .cache import (CacheEntry, CacheError, CacheStore, encode_record,
+                    link_file, read_entry, replace_file)
+from .canon import file_digest, regular_files
+from .executors import (OutputSpec, StagedInput, TaskSpec, artifact_present,
+                        kill_live_groups)
 from .executors.local import LocalExecutor
-from .model import env_to_data, param_ref, split_ref
+from .model import env_to_data, param_ref
 from .planner import (
     Blob,
     Literal,
@@ -83,7 +95,7 @@ class Policy(str, Enum):
 class TaskAction:
     kind: str  # "execute" | "link" | "skip" | "blocked"
     fingerprint: str | None = None
-    # link's cache hit, or the stamp update read
+    # link's cache hit, else the task's checked stamp
     entry: CacheEntry | None = field(default=None, compare=False)
 
     @property
@@ -130,45 +142,152 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # workspace stamps (update policy bookkeeping; workspace-scoped on purpose:
 # up-to-dateness is a property of a workspace, linking of the cache). A
-# stamp is the cache entry of the outputs a task last placed there.
+# stamp is the cache entry of the outputs a task last placed there, plus
+# a record of the stat of each file placed, which no cache entry holds.
+
+@dataclass(frozen=True)
+class Stamp(CacheEntry):
+    # workspace relpath -> [st_ino, st_size, st_mtime_ns] of each file
+    # placed; empty in a stamp written without the record
+    placed: dict = field(default_factory=dict)
+    written_ns: int = 0  # the stamp file's mtime
+
+    @classmethod
+    def from_data(cls, data: dict) -> "Stamp":
+        entry = CacheEntry.from_data(data)
+        placed = data.get("placed")
+        return cls(entry.fingerprint, entry.run_id, entry.file_outputs,
+                   entry.value_outputs, placed if isinstance(placed, dict) else {})
+
 
 def stamp_path(workspace: str, task_id: str) -> str:
     return os.path.join(workspace, STAMPS_DIR, task_id)
 
 
-def read_stamp(workspace: str, task_id: str) -> CacheEntry | None:
+def read_stamp(workspace: str, task_id: str) -> Stamp | None:
+    path = stamp_path(workspace, task_id)
     try:
-        return read_entry(stamp_path(workspace, task_id))
+        # stat first: a stamp replaced meanwhile is newer than it says,
+        # which makes its records look racier, never less
+        written_ns = os.stat(path).st_mtime_ns
+        return replace(read_entry(path, Stamp), written_ns=written_ns)
     except (OSError, ValueError, KeyError, TypeError):
         return None
 
 
-def write_stamp(workspace: str, task_id: str, entry: CacheEntry):
-    replace_file(stamp_path(workspace, task_id), entry.to_bytes())
+def write_stamp(workspace: str, task_id: str, entry: CacheEntry, outputs=None):
+    """Write the stamp of `entry`; with `outputs`, the task's output
+    declarations, it records the stat of every file they placed."""
+    data = entry.to_data()
+    if outputs is not None:
+        data["placed"] = placed = {}
+        for decl in outputs:
+            if decl.path is None:
+                continue
+            full = os.path.join(workspace, decl.path.replace("/", os.sep))
+            files = [(decl.path, full)] if decl.type.kind != "directory" else \
+                [(decl.path + "/" + rel, path) for rel, path in regular_files(full)]
+            for rel, path in files:
+                st = os.lstat(path)
+                placed[rel] = [st.st_ino, st.st_size, st.st_mtime_ns]
+    replace_file(stamp_path(workspace, task_id), encode_record(data))
+
+
+def checked_stamp(task: TaskInstance, cache: CacheStore, workspace: str,
+                  dry: bool = False) -> tuple[Stamp | None, set[str]]:
+    """The task's stamp, or None when it has none, when it does not name
+    every output the task declares, or when a file it placed has changed
+    since; and the digests of the blobs changed with it.
+
+    A placed file whose stat moved from the stamp's record, or whose
+    mtime is not older than the stamp (the tick in which the stamp was
+    written may hide a later edit: git's "racy" rule), or that the stamp
+    has no record of, is hashed. If its bytes are not those of the blob
+    the stamp names and it shares that blob's inode, it changed the blob:
+    the blob leaves the store, with the tree that holds it, so entries
+    naming them become misses. Either way the stamp goes, and the task
+    re-executes. With `dry`, nothing on disk changes."""
+    stamp = read_stamp(workspace, task.id)
+    if stamp is None or not _names_every_output(task, stamp):
+        return None, set()
+    placed = stamp.placed
+    base = os.path.join(workspace, "")
+    changed, gone = False, set()
+    for port, decl in task.output_decls.items():
+        if decl.path is None:
+            continue
+        digest = stamp.file_outputs[port]
+        members = None  # the tree's member -> digest, read once needed
+        if decl.type.kind != "directory":
+            files = {decl.path: None}  # workspace relpath -> member
+        else:
+            prefix = decl.path + "/"
+            files = {rel: rel[len(prefix):] for rel in placed if rel.startswith(prefix)}
+            if not files:
+                members = _tree_members(cache, digest)
+                files = {prefix + member: member for member in members}
+        for rel, member in files.items():
+            path = base + rel.replace("/", os.sep)
+            try:
+                st = os.lstat(path)
+            except OSError:
+                continue  # a missing output is remade, not checked
+            if placed.get(rel) == [st.st_ino, st.st_size, st.st_mtime_ns] \
+                    and st.st_mtime_ns < stamp.written_ns:
+                continue
+            if member is not None and members is None:
+                members = _tree_members(cache, digest)
+            expected = digest if member is None else members.get(member)
+            if expected is not None and S_ISREG(st.st_mode) \
+                    and file_digest(path) == expected:
+                continue
+            changed = True
+            with contextlib.suppress(FileNotFoundError):
+                if expected is not None and os.path.samestat(
+                        st, os.stat(cache.blob_path(expected))):
+                    gone |= {expected, digest}
+    if changed and not dry:
+        for blob in gone:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(cache.blob_path(blob))
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(stamp_path(workspace, task.id))
+    return (None if changed else stamp), gone
+
+
+def _tree_members(cache: CacheStore, digest: str) -> dict:
+    try:
+        return cache.read_tree_manifest(digest)["entries"]
+    except CacheError:
+        return {}
+
+
+def _names_every_output(task: TaskInstance, entry: CacheEntry) -> bool:
+    """Whether `entry` names every output the task declares; one that
+    does not is damaged, and counts as none."""
+    return all(port in (entry.value_outputs if decl.path is None else entry.file_outputs)
+               for port, decl in task.output_decls.items())
 
 
 def decide_action(task: TaskInstance, policy: Policy, cache: CacheStore,
-                  workspace: str, fingerprint: str | None = None) -> TaskAction:
+                  workspace: str, fingerprint: str | None = None,
+                  stamp: Stamp | None = None) -> TaskAction:
     """Per-task policy decision. Requires resolved bindings (the
-    fingerprint must be computable). Cache corruption counts as a miss;
-    the cache layer warns. A cache entry or stamp that does not name
-    every output the task declares is damaged, and counts as none."""
+    fingerprint must be computable). `stamp` is the task's stamp as
+    checked_stamp returns it: update reads it, and an execute carries it.
+    Cache corruption counts as a miss; the cache layer warns."""
     if policy == Policy.RECOMPUTE:
-        return TaskAction("execute", fingerprint)
+        return TaskAction("execute", fingerprint, stamp)
     fp = fingerprint or task_fingerprint(task)
-    entry = cache.get_entry(fp) if policy == Policy.LINK \
-        else read_stamp(workspace, task.id)
-    if entry is not None and not all(
-            port in (entry.value_outputs if decl.path is None else entry.file_outputs)
-            for port, decl in task.output_decls.items()):
-        entry = None
     if policy == Policy.LINK:
-        return TaskAction("link" if entry else "execute", fp, entry)
-    if entry is not None and entry.fingerprint == fp \
+        entry = cache.get_entry(fp)
+        if entry is not None and _names_every_output(task, entry):
+            return TaskAction("link", fp, entry)
+    elif stamp is not None and stamp.fingerprint == fp \
             and all(artifact_present(workspace, decl)
                     for decl in task.output_decls.values() if decl.path is not None):
-        return TaskAction("skip", fp, entry)
-    return TaskAction("execute", fp, entry)
+        return TaskAction("skip", fp, stamp)
+    return TaskAction("execute", fp, stamp)
 
 
 def generate_run_id() -> str:
@@ -195,13 +314,22 @@ class _Walk:
     the smallest ready task; settle() records a task's result and readies
     the children whose last dependency it was."""
 
-    def __init__(self, runner: "Runner", graph: TaskGraph, policy: Policy):
-        self.runner, self.graph, self.policy = runner, graph, policy
+    def __init__(self, runner: "Runner", graph: TaskGraph, policy: Policy,
+                 dry: bool = False):
+        self.runner, self.graph, self.policy, self.dry = runner, graph, policy, dry
         self.results: dict[str, TaskResult] = {}
         self.children = graph.children()
         self.waiting = {tid: len(task.deps) for tid, task in graph.tasks.items()}
         self.ready = sorted(tid for tid, n in self.waiting.items() if not n)  # sorted is a heap
         self.executed: set[str] = set()  # tasks whose action was Execute
+        # Every task's placed outputs are checked before any is decided,
+        # so no decision uses a blob that an edited output changed.
+        self.stamps: dict[str, Stamp | None] = {}
+        self.gone: set[str] = set()  # digests of the blobs so changed
+        for tid in sorted(graph.tasks):
+            self.stamps[tid], gone = checked_stamp(
+                graph.tasks[tid], runner.cache, runner.workspace, dry)
+            self.gone |= gone
 
     def next(self) -> tuple[TaskInstance, TaskInstance | None, TaskAction] | None:
         """(task, resolved task, action) for the smallest ready task, or
@@ -214,15 +342,19 @@ class _Walk:
         if any(self.results[dep].state in BAD_STATES for dep in task.deps):
             return task, task, BLOCKED
         resolved = self.runner._resolve_bindings(self.graph, task, self.results)
+        stamp = self.stamps.pop(task.id)
         if resolved is None:
             action = EXECUTE
         else:
             fp = task_fingerprint(resolved)
             if self.policy == Policy.UPDATE and task.deps & self.executed:
-                action = TaskAction("execute", fp)
+                action = TaskAction("execute", fp, stamp)
             else:
                 action = decide_action(resolved, self.policy, self.runner.cache,
-                                       self.runner.workspace, fp)
+                                       self.runner.workspace, fp, stamp)
+            if self.dry and action.kind == "link" \
+                    and self.gone.intersection(action.entry.file_outputs.values()):
+                action = TaskAction("execute", fp, stamp)  # a run drops those blobs
         if action.is_execute:
             self.executed.add(task.id)
         return task, resolved, action
@@ -347,6 +479,9 @@ class Runner:
                 raise SchedulerError(
                     "scheduler stalled; remaining tasks %s"
                     % sorted(set(graph.tasks) - set(results)))
+        except BaseException:  # Ctrl-C included: the tasks run in groups of their own
+            kill_live_groups()
+            raise
         finally:
             pool.shutdown(wait=True)
             complete = result.ok and len(results) == len(graph.tasks)
@@ -363,25 +498,23 @@ class Runner:
         return result
 
     def plan_preview(self, graph: TaskGraph, policy: Policy = Policy.UPDATE) -> dict[str, TaskAction]:
-        """The actions run() would take, decided by the same walk. A skip
-        settles from its stamp and a link from its cache entry, as in
+        """The actions run() would take, decided by the same walk, which
+        checks placed outputs as run() does but changes nothing on disk. A
+        skip settles from its stamp and a link from its cache entry, as in
         run(). A task to execute settles from its stamp when the stamp
         holds its current fingerprint, as if it reproduced those outputs;
         otherwise its outputs are unknown and every task that reads them
         executes too. Pure: touches neither workspace nor cache nor
         journals."""
-        walk = _Walk(self, graph, Policy(policy))
+        walk = _Walk(self, graph, Policy(policy), dry=True)
         actions: dict[str, TaskAction] = {}
         while (decision := walk.next()) is not None:
-            task, resolved, action = decision
+            task, _, action = decision
             actions[task.id] = action
             entry = action.entry
-            if action.is_execute and action.fingerprint is not None:
-                entry = entry or decide_action(  # the stamp update would read
-                    resolved, Policy.UPDATE, self.cache, self.workspace,
-                    action.fingerprint).entry
-                if entry is not None and entry.fingerprint != action.fingerprint:
-                    entry = None
+            if action.is_execute and entry is not None \
+                    and entry.fingerprint != action.fingerprint:
+                entry = None
             walk.settle(task.id, _settled_result(action, entry))
         return actions
 
@@ -520,7 +653,7 @@ class Runner:
             entry = CacheEntry(fp, os.path.basename(run_dir),
                                self._publish_outputs(task, workdir),
                                dict(outcome.value_outputs))
-            write_stamp(self.workspace, task.id, entry)
+            write_stamp(self.workspace, task.id, entry, task.output_decls.values())
             self.cache.put_entry(entry)
         except (CacheError, OSError) as exc:
             return TaskResult("failed", exit_code=outcome.exit_code,
@@ -534,10 +667,9 @@ class Runner:
         """An error naming the first input whose staged bytes the task
         changed, or None; only files whose size or mtime moved are
         rehashed. A changed blob leaves the store with the tree that
-        holds it, so entries that name them become misses. When the
-        staged file is also the producer's workspace output (both linked
-        from the store), that output changed too: the producer's stamp
-        goes, so the next update re-executes it."""
+        holds it, so entries that name them become misses. A workspace
+        output that shares the blob's inode changed too; the next run's
+        check of placed outputs finds it (checked_stamp)."""
         for path, (port, member, stat) in sorted(before.items()):
             try:
                 now = os.stat(path)
@@ -552,29 +684,21 @@ class Runner:
                 for name in {digest, binding.digest}:
                     with contextlib.suppress(FileNotFoundError):
                         os.unlink(self.cache.blob_path(name))
-                producer = split_ref(task.input_sources[port])[0]
-                if producer in task.deps:
-                    output = binding.source if member is None else os.path.join(
-                        binding.source, member.replace("/", os.sep))
-                    with contextlib.suppress(OSError):
-                        if os.path.samestat(now, os.stat(output)):
-                            os.unlink(stamp_path(self.workspace, producer))
                 return "ModifiedInput(%s): the task rewrote its input %s" % (
                     port, os.path.basename(path))
         return None
 
     def _publish_outputs(self, task: TaskInstance, workdir: str) -> dict[str, str]:
-        """Ingest declared outputs into the cache and hard-link each
-        produced file, as it is ingested, to its workspace path (not to
-        the store, so that a task that rewrites its staged input, a link
-        into the store, cannot reach them). Returns port -> digest."""
+        """Store declared outputs, adopting each file the task produced
+        (CacheStore.put_blob), and place each in the workspace as a hard
+        link to its blob. Returns port -> digest."""
         files: dict[str, str] = {}
         for port, rel in sorted(task.file_output_paths.items()):
             produced = os.path.join(workdir, rel.replace("/", os.sep))
             dest = os.path.join(self.workspace, rel.replace("/", os.sep))
             if task.output_decls[port].type.kind != "directory":
-                files[port] = self.cache.put_blob(produced)
-                link_file(produced, dest)
+                files[port] = self.cache.put_blob(produced, adopt=True)
+                link_file(self.cache.blob_path(files[port]), dest)
                 continue
             if os.path.isdir(dest):
                 shutil.rmtree(dest)
@@ -592,7 +716,7 @@ class Runner:
                 self.cache.materialize_tree(entry.file_outputs[port], dest)
             else:
                 self.cache.materialize_blob(entry.file_outputs[port], dest)
-        write_stamp(self.workspace, task.id, entry)
+        write_stamp(self.workspace, task.id, entry, task.output_decls.values())
 
     # -- journal payloads ----------------------------------------------------
 

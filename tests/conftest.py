@@ -86,3 +86,44 @@ def assert_blobs_match_names(ws):
                 actual = hashlib.sha256(fh.read()).hexdigest()
             assert actual == name, "blob %s holds bytes hashing to %s" % (
                 name, actual)
+
+
+def assert_store_sealed(ws):
+    """assert_blobs_match_names, and the seal that keeps placed outputs
+    from reaching the store: every blob is read-only, and every file
+    placed in the workspace (outside cache/, runs/ and .flowforge/) is
+    recorded by a stamp and shares its inode with a blob that stamp
+    names, a file output or a member of a directory output."""
+    from flowforge.cache import CacheError, CacheStore
+
+    assert_blobs_match_names(ws)
+    store = CacheStore(os.path.join(ws, "cache"))
+    blobs = {}  # (device, inode) -> digest
+    for dirpath, _, names in os.walk(store.objects_dir):
+        for name in names:
+            if not name.startswith("."):
+                st = os.stat(os.path.join(dirpath, name))
+                assert st.st_mode & 0o222 == 0, "blob %s is writable" % name
+                blobs[st.st_dev, st.st_ino] = name
+    named = {}  # workspace relpath -> the digests of the stamp recording it
+    stamps = os.path.join(ws, ".flowforge", "stamps")
+    for task in os.listdir(stamps) if os.path.isdir(stamps) else ():
+        with open(os.path.join(stamps, task), encoding="utf-8") as fh:
+            stamp = json.load(fh)
+        digests = set(stamp["files"].values())
+        for digest in stamp["files"].values():
+            try:
+                digests.update(store.read_tree_manifest(digest)["entries"].values())
+            except CacheError:
+                pass  # a file output
+        named.update(dict.fromkeys(stamp.get("placed", {}), digests))
+    for dirpath, dirnames, filenames in os.walk(ws):
+        if dirpath == ws:
+            dirnames[:] = [d for d in dirnames if d not in ("cache", "runs", ".flowforge")]
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, ws).replace(os.sep, "/")
+            assert rel in named, "no stamp records the placed file %s" % rel
+            st = os.lstat(path)
+            assert blobs.get((st.st_dev, st.st_ino)) in named[rel], (
+                "%s shares no inode with a blob its stamp names" % rel)

@@ -12,7 +12,7 @@ import pytest
 
 from flowforge import cache
 from flowforge.cache import CacheEntry, CacheStore, GcLockError
-from flowforge.canon import canon_bytes, file_digest, tree_digest, tree_manifest
+from flowforge.canon import CHUNK, canon_bytes, file_digest, tree_digest, tree_manifest
 
 
 @pytest.fixture
@@ -402,3 +402,48 @@ def test_a_lock_file_left_by_a_killed_gc_does_not_block_gc(store):
     report = store.gc(keep_runs=set())
     assert report.removed_entries == ["5" * 64]
     assert os.path.exists(lock)
+
+
+@pytest.mark.parametrize("adopt", [False, True])
+@pytest.mark.parametrize("size", [10, CHUNK + 10])  # into memory, through a temp file
+def test_a_stored_blob_of_the_wrong_size_is_replaced(store, tmp_path, size, adopt):
+    (tmp_path / "first").write_bytes(b"x" * size)
+    digest = store.put_blob(str(tmp_path / "first"))
+    blob = store.blob_path(digest)
+    os.chmod(blob, 0o644)
+    with open(blob, "ab") as fh:
+        fh.write(b"damage")
+    (tmp_path / "again").write_bytes(b"x" * size)
+    assert store.put_blob(str(tmp_path / "again"), adopt=adopt) == digest
+    assert file_digest(blob) == digest
+    assert stat.S_IMODE(os.stat(blob).st_mode) == 0o444
+
+
+def test_an_output_that_changes_while_adopted_is_not_stored(store, tmp_path, monkeypatch):
+    src = tmp_path / "out"
+    src.write_bytes(b"first\n")
+    real = cache.file_digest
+
+    def digest_then_write(path, **kwargs):
+        digest = real(path, **kwargs)
+        writer.write(b"late\n")
+        writer.flush()
+        return digest
+
+    monkeypatch.setattr(cache, "file_digest", digest_then_write)
+    # opened before the file was made read-only, as by a task's leftover process
+    with open(src, "ab") as writer:
+        with pytest.raises(cache.CacheError, match="output changed while being stored"):
+            store.put_blob(str(src), adopt=True)
+    assert not store.has_blob(hashlib.sha256(b"first\n").hexdigest())
+
+
+def test_entries_are_compact_and_indented_ones_still_read(store, tmp_path):
+    entry = CacheEntry("e" * 64, "r1", {}, {"n": 1})
+    store.put_entry(entry)
+    with open(store.entry_path("e" * 64), "rb") as fh:
+        assert fh.read() == b'{"fingerprint":"%s","run":"r1","files":{},"values":{"n":1}}\n' % (
+            b"e" * 64)
+    with open(store.entry_path("e" * 64), "w") as fh:  # as earlier versions wrote it
+        json.dump(entry.to_data(), fh, indent=1)
+    assert store.get_entry("e" * 64) == entry

@@ -209,6 +209,29 @@ def test_cache_gc_keeps_recorded_inputs_of_kept_runs(ws):
     assert_blobs_match_names(ws)
 
 
+def test_cache_gc_leaves_the_mode_of_a_placed_output_alone(tmp_path, ws):
+    """A blob that gc removes may share its inode with a workspace output
+    placed from it: gc unlinks it without making it writable first."""
+    wf = tmp_path / "one.wf"
+    wf.write_text(json.dumps({"name": "one", "processes": [
+        {"id": "a", "command": ["sh", "-c", "echo a > {outputs.o}"],
+         "outputs": {"o": {"type": "file", "path": "a.txt"}}}],
+        "outputs": {"o": "a.o"}}))
+    assert cli("run", wf, "--workdir", ws, "--policy", "recompute").returncode == 0
+    proc = cli("run", wf, "--workdir", ws, "--policy", "link")
+    assert proc.returncode == 0, proc.stderr
+    linked = proc.stdout.split()[1]  # "run <id> finished: ..."
+    placed = os.path.join(ws, "a.txt")
+    digest = hashlib.sha256(b"a\n").hexdigest()
+    assert os.path.samestat(os.stat(placed), os.stat(
+        os.path.join(ws, "cache", "objects", digest[:2], digest)))
+    # the link run produced no entry: keeping only it drops a's blob
+    proc = cli("cache", "gc", "--workdir", ws, "--keep-run", linked)
+    assert proc.returncode == 0, proc.stderr
+    assert "removed 1 entries, 1 blobs" in proc.stdout
+    assert os.stat(placed).st_mode & 0o777 == 0o444
+
+
 # Reaps its command with os.wait4 and prints the exit code, the peak RSS
 # in KiB and the output. Linux carries the exec'ing process's peak into
 # the child's ru_maxrss, so the command is started from this small

@@ -1,7 +1,9 @@
 """Executor backends: local, mock batch spool, loopback remote."""
 
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -54,6 +56,29 @@ def file_out(port, path):
 
 def value_out(port, kind="integer"):
     return OutputSpec(port, parse_type(kind), None)
+
+
+def gone(pid: int) -> bool:
+    """Whether process `pid` has ended; a zombie counts as ended."""
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def ends_within(seconds: float, pid: int) -> bool:
+    deadline = time.monotonic() + seconds
+    while not gone(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+def kill_if_alive(pid: int):
+    with contextlib.suppress(ProcessLookupError):
+        os.kill(pid, signal.SIGKILL)
 
 
 # -- local --------------------------------------------------------------------
@@ -505,3 +530,54 @@ def test_symlink_in_a_directory_output_is_no_member_on_any_executor(tmp_path):
                       sorted(os.listdir(os.path.join(ws, "d"))), listing)
     assert seen["local"][1:] == (["a"], "a\n")
     assert seen["local"] == seen["batch:mock"] == seen["remote:loopback"]
+
+
+# -- process groups ------------------------------------------------------------
+
+def test_a_task_leaves_no_process_behind(tmp_path):
+    """What a task starts in the background is killed once the task ends,
+    so nothing writes its outputs after the store adopted them."""
+    doc = {"name": "bg", "processes": [
+        {"id": "t", "command": ["sh", "-c", "sleep 30 & echo $! > {outputs.o}"],
+         "outputs": {"o": {"type": "file", "path": "pid.txt"}}}]}
+    flat = flatten(parse_workflow(json.dumps(doc)), WorkflowLoader(), str(tmp_path))
+    ws = tmp_path / "ws"
+    result = Runner(str(ws)).run(build_graph(flat, {}), Policy.RECOMPUTE)
+    assert result.ok, result.states
+    pid = int((ws / "pid.txt").read_text())
+    try:
+        assert ends_within(5, pid)
+    finally:
+        kill_if_alive(pid)
+
+
+def test_ctrl_c_ends_a_run_and_its_tasks(tmp_path):
+    """A task leads a process group of its own, so a terminal's Ctrl-C no
+    longer reaches it; the interrupted run kills it instead."""
+    pid_file = tmp_path / "pid"
+    wf = tmp_path / "sleep.wf"
+    wf.write_text(json.dumps({"name": "sleep", "processes": [
+        {"id": "t", "command": ["sh", "-c", "echo $$ > %s && exec sleep 30" % pid_file],
+         "outputs": {"o": {"type": "file", "path": "never.txt"}}}]}))
+    # SIGINT raises KeyboardInterrupt only where it is not ignored, as a
+    # shell ignores it for the jobs it starts in the background
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flowforge", "run", str(wf), "--workdir",
+         str(tmp_path / "ws")], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    pid = None
+    try:
+        deadline = time.monotonic() + 30
+        while pid is None and time.monotonic() < deadline:
+            with contextlib.suppress(FileNotFoundError, ValueError):
+                pid = int(pid_file.read_text())
+            time.sleep(0.05)
+        assert pid is not None, "the task never started"
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=10)
+        assert ends_within(5, pid)
+    finally:
+        proc.kill()
+        proc.wait()
+        if pid is not None:
+            kill_if_alive(pid)

@@ -15,11 +15,12 @@ from flowforge.cache import CacheEntry, CacheError, CacheStore
 from flowforge.model import WorkflowLoader, flatten, parse_workflow
 from flowforge.planner import Blob, Literal, build_graph, task_fingerprint
 from flowforge.scheduler import (EXECUTE, Policy, Runner, SchedulerError,
-                                 decide_action, generate_run_id, write_stamp)
+                                 decide_action, generate_run_id, read_stamp,
+                                 write_stamp)
 from flowforge.runstate import read_events
 
-from conftest import (USECASE_DIR, assert_blobs_match_names, finished_states,
-                      load_prov, read_journal, started_tasks)
+from conftest import (USECASE_DIR, assert_blobs_match_names, assert_store_sealed,
+                      finished_states, load_prov, read_journal, started_tasks)
 
 
 def graph_for(tmp_path, doc, params=None):
@@ -342,14 +343,18 @@ def test_decide_action_matrix(tmp_path):
     assert action.kind == "link" and action.entry.run_id == "r-prior"
 
     # update: stamp + outputs present skips; either missing executes
-    assert decide_action(task, Policy.UPDATE, cache, ws).kind == "execute"
+    def update():
+        return decide_action(task, Policy.UPDATE, cache, ws,
+                             stamp=read_stamp(ws, "one")).kind
+
+    assert update() == "execute"
     write_stamp(ws, "one", CacheEntry(fp, "r-prior", {"o": digest}, {}))
-    assert decide_action(task, Policy.UPDATE, cache, ws).kind == "execute"
+    assert update() == "execute"
     with open(os.path.join(ws, "one.txt"), "w") as fh:
         fh.write("x\n")
-    assert decide_action(task, Policy.UPDATE, cache, ws).kind == "skip"
+    assert update() == "skip"
     write_stamp(ws, "one", CacheEntry("0" * 64, "r-prior", {"o": digest}, {}))
-    assert decide_action(task, Policy.UPDATE, cache, ws).kind == "execute"
+    assert update() == "execute"
 
 
 # -- the event-driven core ----------------------------------------------------
@@ -647,15 +652,20 @@ def test_task_cannot_poison_the_store_through_its_input(tmp_path, kind):
     result = run_once(ws, graph_for(tmp_path, tainting_chain(kind)), Policy.LINK)
     assert result.states["make"].state == "succeeded"  # the entry became a miss
     assert result.states["taint"].state == "failed"
-    assert made.read_text() == "clean\n"
     assert_blobs_match_names(str(ws))
 
-    # A linked output shares its inode with the store, and so with the
-    # input staged from it: tainting that input also changes the output,
-    # which the next update must then remake.
+    # A placed output, executed or linked, shares its inode with the
+    # store, and so with the input staged from it: tainting that input
+    # also changes the output, which the next update must then remake.
+    good = graph_for(tmp_path, tainting_chain(kind), {"tag": "good"})
+    result = run_once(ws, good, Policy.UPDATE)
+    assert result.states["make"].state == "succeeded"
+    assert result.ok
+    assert made.read_text() == "clean\n"
+    assert_store_sealed(str(ws))
+
     ws = tmp_path / "linked"
     made = ws / "a" if kind == "file" else ws / "a" / "f"
-    good = graph_for(tmp_path, tainting_chain(kind), {"tag": "good"})
     assert run_once(ws, good, Policy.UPDATE).ok
     result = run_once(ws, graph_for(tmp_path, tainting_chain(kind)), Policy.LINK)
     assert result.states["make"].state == "cached"
@@ -664,14 +674,14 @@ def test_task_cannot_poison_the_store_through_its_input(tmp_path, kind):
     assert result.states["make"].state == "succeeded"
     assert result.ok
     assert made.read_text() == "clean\n"
-    assert_blobs_match_names(str(ws))
+    assert_store_sealed(str(ws))
 
 
 class CountingOs:
     """Stands in for `os` inside flowforge.cache: counts the calls that
     set the per-member cost of moving a directory through the engine."""
 
-    WATCHED = ("link", "chmod", "fchmod", "makedirs")
+    WATCHED = ("link", "chmod", "fchmod", "makedirs", "open")
 
     def __init__(self):
         self.calls = {name: [] for name in self.WATCHED}
@@ -687,12 +697,19 @@ class CountingOs:
             return real(*args, **kwargs)
         return counted
 
+    def created_under(self, root: str) -> list:
+        """The files opened for creation under `root`."""
+        return [args[0] for _, args in self.calls["open"]
+                if args[0].startswith(root) and args[1] & os.O_CREAT]
+
 
 def test_directory_artifact_file_operation_budget(tmp_path, monkeypatch):
-    """A deterministic guard beside the benchmark: publishing and staging
-    a 200-member directory costs one link per member placed, one hash
-    per member stored, no chmod, no mkstemp, and a makedirs only for a
-    directory that does not exist yet."""
+    """A deterministic guard beside the benchmark. Publishing a
+    200-member directory adopts each member produced: one chmod, one
+    hash and one link into the store; the one file created under
+    cache/objects is the new tree manifest's. Placing and staging cost one link per member placed;
+    no mkstemp, and a makedirs only for a directory that does not exist
+    yet."""
     n = 200
     doc = {
         "name": "budget",
@@ -715,6 +732,7 @@ def test_directory_artifact_file_operation_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(cache, "file_digest",
                         lambda path, **k: hashed.append(path) or real_digest(path, **k))
     ws = tmp_path / "ws"
+    objects = os.path.join(str(ws), "cache", "objects")
     for fresh in (True, False):
         counting = CountingOs()
         hashed.clear()
@@ -723,16 +741,235 @@ def test_directory_artifact_file_operation_budget(tmp_path, monkeypatch):
             result = run_once(ws, graph_for(tmp_path, doc), Policy.RECOMPUTE)
         assert result.ok, result.states
         assert (ws / "n.txt").read_text().strip() == str(n)
+        sandboxes = os.path.join(str(ws), "runs", result.run_id, "tasks")
+        produced = sorted([os.path.join(sandboxes, "make", "d", "m%d" % i)
+                           for i in range(1, n + 1)]
+                          + [os.path.join(sandboxes, "count", "n.txt")])
+        assert sorted(args[0] for _, args in counting.calls["chmod"]) == produced
+        assert counting.calls["fchmod"] == []
+        assert sorted(hashed) == produced
+        assert len(counting.created_under(objects)) == fresh and mkstemps == []
+        # a link that misses its shard directory is made again after makedirs
+        made = [args[0] for existed, args in counting.calls["makedirs"]]
+        into_store = [args[0] for _, args in counting.calls["link"]
+                      if args[1].startswith(objects)]
+        assert sorted(set(into_store)) == produced
+        assert len(into_store) == len(produced) + sum(
+            path.startswith(objects) for path in made)
         # n members into the workspace, n into count's sandbox, and n.txt;
         # replacing the first round's n.txt takes a second link after unlink
-        links = [args[1] for _, args in counting.calls["link"]]
-        assert len(set(links)) == 2 * n + 1
-        assert len(links) == 2 * n + 1 + (not fresh)
-        assert counting.calls["chmod"] == counting.calls["fchmod"] == []
-        assert mkstemps == []
-        assert len(hashed) == n + 1
-        made = [args[0] for existed, args in counting.calls["makedirs"]]
+        placed = [args[1] for _, args in counting.calls["link"]
+                  if not args[1].startswith(objects)]
+        assert len(set(placed)) == 2 * n + 1
+        assert len(placed) == 2 * n + 1 + (not fresh)
         assert not any(existed for existed, _ in counting.calls["makedirs"])
         assert len(made) == len(set(made))
         if not fresh:  # the store's directories exist: only count's sandbox
             assert len(made) == 1
+    assert_store_sealed(str(ws))
+
+
+def test_a_produced_file_is_adopted_not_copied(tmp_path, monkeypatch):
+    """An 8 MiB output is hashed once, in place, and becomes its blob:
+    the sandbox file, the workspace output and the blob are one inode,
+    and no file is created under cache/objects."""
+    size = 8 << 20
+    doc = {
+        "name": "adopt",
+        "processes": [{
+            "id": "make",
+            "command": ["sh", "-c", "head -c %d /dev/zero > {outputs.o}" % size],
+            "outputs": {"o": {"type": "file", "path": "big.bin"}}}],
+        "outputs": {"o": "make.o"},
+    }
+    hashed = []
+    for mod in (canon, cache, executors, planner, scheduler):
+        real = mod.file_digest
+
+        def counting(path, *args, _real=real, **kwargs):
+            hashed.append(os.path.getsize(path))
+            return _real(path, *args, **kwargs)
+
+        monkeypatch.setattr(mod, "file_digest", counting)
+    ws = tmp_path / "ws"
+    counting_os = CountingOs()
+    with monkeypatch.context() as patch:
+        patch.setattr(cache, "os", counting_os)
+        result = run_once(ws, graph_for(tmp_path, doc), Policy.RECOMPUTE)
+    assert result.ok
+    assert hashed == [size]
+    assert counting_os.created_under(os.path.join(str(ws), "cache", "objects")) == []
+    digest = result.states["make"].file_digests["o"]
+    assert digest == hashlib.sha256(bytes(size)).hexdigest()
+    inode = os.stat(ws / "runs" / result.run_id / "tasks" / "make" / "big.bin")
+    assert os.path.samestat(inode, os.stat(ws / "big.bin"))
+    assert os.path.samestat(inode, os.stat(
+        CacheStore(str(ws / "cache")).blob_path(digest)))
+    assert_store_sealed(str(ws))
+
+
+def test_only_a_file_the_task_made_is_adopted(tmp_path):
+    """A symlink to a file outside the sandbox and a hard link to one are
+    stored by copy: the outside files keep their inode and mode."""
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "s.txt").write_text("reached by a symlink\n")
+    (outside / "h.txt").write_text("reached by a hard link\n")
+    before = {name: os.stat(outside / name) for name in ("s.txt", "h.txt")}
+    doc = {
+        "name": "foreign",
+        "processes": [{
+            "id": "make",
+            "command": ["sh", "-c", "ln -s %s {outputs.s} && ln %s {outputs.h}"
+                        % (outside / "s.txt", outside / "h.txt")],
+            "outputs": {"s": {"type": "file", "path": "s.txt"},
+                        "h": {"type": "file", "path": "h.txt"}}}],
+        "outputs": {"s": "make.s"},
+    }
+    ws = tmp_path / "ws"
+    result = run_once(ws, graph_for(tmp_path, doc), Policy.RECOMPUTE)
+    assert result.ok, result.states
+    store = CacheStore(str(ws / "cache"))
+    for port, name in (("s", "s.txt"), ("h", "h.txt")):
+        now = os.stat(outside / name)
+        assert (now.st_ino, now.st_mode) == (before[name].st_ino, before[name].st_mode)
+        blob = os.stat(store.blob_path(result.states["make"].file_digests[port]))
+        assert not os.path.samestat(now, blob)
+        assert blob.st_mode & 0o777 == 0o444
+        assert (ws / name).read_text() == (outside / name).read_text()
+    assert_store_sealed(str(ws))
+
+
+# -- a placed output edited in place ---------------------------------------------
+
+def reader_chain():
+    """`a` writes `hi`; `b` reads it twice."""
+    return {
+        "name": "reader",
+        "processes": [
+            {"id": "a", "command": ["sh", "-c", "echo hi > {outputs.o}"],
+             "outputs": {"o": {"type": "file", "path": "a.txt"}}},
+            {"id": "b", "command": ["sh", "-c", "cat {inputs.x} {inputs.x} > {outputs.o}"],
+             "inputs": {"x": {"type": "file", "from": "a.o"}},
+             "outputs": {"o": {"type": "file", "path": "b.txt"}}},
+        ],
+        "outputs": {"b": "b.o"},
+    }
+
+
+def edit_in_place(path, data: bytes, append: bool = False):
+    """Write through the inode at `path`, as an editor that keeps it does.
+    The owner must lift the read-only mode first; root need not."""
+    os.chmod(path, 0o644)
+    with open(path, "ab" if append else "r+b") as fh:
+        fh.write(data)
+
+
+@pytest.mark.parametrize("edit, policy", [
+    ("append", Policy.UPDATE), ("same size", Policy.UPDATE),
+    ("same size", Policy.RECOMPUTE)])
+def test_an_output_edited_in_place_cannot_poison_the_store(tmp_path, edit, policy):
+    ws = tmp_path / "ws"
+    assert run_once(ws, graph_for(tmp_path, reader_chain()), Policy.RECOMPUTE).ok
+    assert run_once(ws, graph_for(tmp_path, reader_chain()), Policy.LINK).ok
+    edit_in_place(ws / "a.txt", b"EDIT\n" if edit == "append" else b"HI\n",
+                  append=edit == "append")
+    result = run_once(ws, graph_for(tmp_path, reader_chain()), policy)
+    assert started_tasks(read_journal(str(ws), result.run_id)) == ["a", "b"]
+    assert result.ok
+    assert (ws / "a.txt").read_text() == "hi\n"
+    assert (ws / "b.txt").read_text() == "hi\nhi\n"
+    assert_store_sealed(str(ws))
+
+
+@pytest.mark.parametrize("policy", [Policy.UPDATE, Policy.LINK])
+def test_a_dry_run_sees_an_output_edited_in_place(tmp_path, policy):
+    """The preview makes the run's check but changes nothing: the changed
+    blob and the stamp stay until the run drops them."""
+    ws = tmp_path / "ws"
+    assert run_once(ws, graph_for(tmp_path, reader_chain()), Policy.RECOMPUTE).ok
+    edit_in_place(ws / "a.txt", b"EDIT\n", append=True)
+    before = sorted(p.name for p in (ws / "cache" / "objects").rglob("*")) + sorted(
+        p.name for p in (ws / ".flowforge" / "stamps").iterdir())
+    preview = Runner(str(ws)).plan_preview(graph_for(tmp_path, reader_chain()), policy)
+    planned = {t for t, a in preview.items() if a.is_execute}
+    assert planned == {"a", "b"}  # a's outputs are unknown until it runs
+    assert before == sorted(p.name for p in (ws / "cache" / "objects").rglob("*")) + sorted(
+        p.name for p in (ws / ".flowforge" / "stamps").iterdir())
+    result = run_once(ws, graph_for(tmp_path, reader_chain()), policy)
+    started = set(started_tasks(read_journal(str(ws), result.run_id)))
+    # link finds b's entry again once a has reproduced its output
+    assert started == ({"a", "b"} if policy == Policy.UPDATE else {"a"})
+    assert started <= planned
+    assert (ws / "b.txt").read_text() == "hi\nhi\n"
+    assert_store_sealed(str(ws))
+
+
+def test_an_output_replaced_by_a_directory_is_found(tmp_path):
+    ws = tmp_path / "ws"
+    assert run_once(ws, graph_for(tmp_path, reader_chain()), Policy.UPDATE).ok
+    os.unlink(ws / "a.txt")
+    os.mkdir(ws / "a.txt")
+    for policy in (Policy.UPDATE, Policy.RECOMPUTE):
+        result = run_once(ws, graph_for(tmp_path, reader_chain()), policy)
+        assert result.states["a"].state == "failed"
+        assert "publishing outputs failed" in result.states["a"].error
+    assert_blobs_match_names(str(ws))
+
+
+def test_an_edit_in_the_stamps_own_tick_is_found(tmp_path):
+    """A record whose mtime is not older than its stamp proves nothing
+    (git's racy rule): a same-size edit that restores the mtime, and so
+    every recorded field, is still found."""
+    ws = tmp_path / "ws"
+    assert run_once(ws, graph_for(tmp_path, reader_chain()), Policy.RECOMPUTE).ok
+    assert run_once(ws, graph_for(tmp_path, reader_chain()), Policy.LINK).ok
+    placed = os.stat(ws / "a.txt")
+    stamp = ws / ".flowforge" / "stamps" / "a"
+    assert json.loads(stamp.read_text())["placed"] == {
+        "a.txt": [placed.st_ino, placed.st_size, placed.st_mtime_ns]}
+    os.utime(stamp, ns=(placed.st_atime_ns, placed.st_mtime_ns))
+    edit_in_place(ws / "a.txt", b"HI\n")
+    os.utime(ws / "a.txt", ns=(placed.st_atime_ns, placed.st_mtime_ns))
+    edited = os.stat(ws / "a.txt")
+    assert (edited.st_ino, edited.st_size, edited.st_mtime_ns) == (
+        placed.st_ino, placed.st_size, placed.st_mtime_ns)
+    result = run_once(ws, graph_for(tmp_path, reader_chain()), Policy.UPDATE)
+    assert started_tasks(read_journal(str(ws), result.run_id)) == ["a", "b"]
+    assert (ws / "b.txt").read_text() == "hi\nhi\n"
+    assert_store_sealed(str(ws))
+
+
+def strip_stat_records(ws):
+    """Rewrite every stamp as one written before stamps recorded stat data."""
+    for path in (ws / ".flowforge" / "stamps").iterdir():
+        entry = json.loads(path.read_text())
+        entry.pop("placed", None)
+        path.write_text(json.dumps(entry))
+
+
+def dir_chain():
+    doc = reader_chain()
+    doc["processes"].append(
+        {"id": "d", "command": ["sh", "-c", "mkdir -p {outputs.o}/s && echo x > {outputs.o}/s/m"],
+         "outputs": {"o": {"type": "directory", "path": "d"}}})
+    return doc
+
+
+def test_a_stamp_without_a_stat_record_skips_while_the_bytes_match(tmp_path):
+    ws = tmp_path / "ws"
+    assert run_once(ws, graph_for(tmp_path, dir_chain()), Policy.UPDATE).ok
+    strip_stat_records(ws)
+    result = run_once(ws, graph_for(tmp_path, dir_chain()), Policy.UPDATE)
+    assert result.counts == {"skipped-up-to-date": 3}
+
+
+def test_a_stamp_without_a_stat_record_is_checked_by_hashing(tmp_path):
+    ws = tmp_path / "ws"
+    assert run_once(ws, graph_for(tmp_path, dir_chain()), Policy.UPDATE).ok
+    strip_stat_records(ws)
+    edit_in_place(ws / "d" / "s" / "m", b"y\n")
+    result = run_once(ws, graph_for(tmp_path, dir_chain()), Policy.UPDATE)
+    assert started_tasks(read_journal(str(ws), result.run_id)) == ["d"]
+    assert (ws / "d" / "s" / "m").read_text() == "x\n"
+    assert_blobs_match_names(str(ws))
