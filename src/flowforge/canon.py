@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import stat
 from typing import Union
 
 Value = Union[None, bool, int, float, str, list, tuple, dict]
@@ -59,22 +60,17 @@ def regular_files(root):
     """(relpath, path) for every regular file under `root`, recursively,
     with names sorted at each level and relpaths /-separated. Symlinks
     and empty dirs are skipped: this is the one definition of what a
-    directory artifact holds. The file type comes from the directory
-    listing, so no file is stat'ed where the filesystem reports types."""
-    stack = [(os.fspath(root), "")]
-    while stack:
-        dirpath, prefix = stack.pop()
-        try:
-            entries = sorted(os.scandir(dirpath), key=lambda entry: entry.name)
-        except OSError:
-            continue
-        subdirs = []
-        for entry in entries:
-            if entry.is_file(follow_symlinks=False):
-                yield prefix + entry.name, entry.path
-            elif entry.is_dir(follow_symlinks=False):
-                subdirs.append((entry.path, prefix + entry.name + "/"))
-        stack.extend(reversed(subdirs))  # the first subdirectory next
+    directory artifact holds."""
+    root = os.fspath(root)
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        # os.walk's dirpaths extend `root`: slice off the relpath prefix
+        prefix = dirpath[len(root):].lstrip(os.sep).replace(os.sep, "/")
+        prefix += "/" if prefix else ""
+        for name in sorted(filenames):
+            full = os.path.join(dirpath, name)
+            if stat.S_ISREG(os.lstat(full).st_mode):
+                yield prefix + name, full
 
 
 # Map keys sort by UTF-8 bytes, so "entries" precedes "kind": the

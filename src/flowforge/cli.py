@@ -7,8 +7,10 @@ usage and validation problems detected before anything executes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import signal
 import sys
 
 import click
@@ -267,6 +269,26 @@ def _params_for_journal(fw, param_values, graph) -> dict:
             for name, value in merged.items()}
 
 
+@contextlib.contextmanager
+def _ending_signals():
+    """While a run is on, SIGHUP and SIGTERM raise SystemExit, as SIGINT
+    raises KeyboardInterrupt, so that the run kills the process groups of
+    its tasks before it ends: no signal from the terminal reaches them.
+    A signal ignored already, as under nohup, stays ignored."""
+    def end(signum, frame):
+        raise SystemExit(128 + signum)
+
+    previous = {}
+    for signum in (signal.SIGHUP, signal.SIGTERM):
+        if signal.getsignal(signum) == signal.SIG_DFL:
+            previous[signum] = signal.signal(signum, end)
+    try:
+        yield
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+
 def _do_run(graph, policy, executor_name, jobs, keep_going, workspace,
             run_id, meta, echo=False) -> int:
     from .executors import ExecutorError, make_executor
@@ -278,7 +300,8 @@ def _do_run(graph, policy, executor_name, jobs, keep_going, workspace,
         raise CliError(str(exc)) from exc
     try:
         runner = Runner(workspace, None, exec_backend, jobs, keep_going)
-        result = runner.run(graph, policy, run_id=run_id, meta=meta)
+        with _ending_signals():
+            result = runner.run(graph, policy, run_id=run_id, meta=meta)
     finally:
         close = getattr(exec_backend, "close", None)
         if close is not None:

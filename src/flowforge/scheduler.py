@@ -27,7 +27,11 @@ would reach the store. Stamps therefore record each placed file's
 (st_ino, st_size, st_mtime_ns), and before the walk decides any task,
 under every policy, it checks every task's placed files against its
 stamp (checked_stamp): a changed file costs one hash, a blob it changed
-leaves the store, and its stamp goes, so the task re-executes.
+leaves the store, and its stamp goes, so the task re-executes. A stamp
+whose files were hashed and found unchanged is written again with their
+stat, so they are hashed once. A staged input is a link into the store
+as well; a task that writes one fails, and the producer's output that
+shared its inode leaves the workspace with the producer's stamp.
 
 Policy semantics (per task):
   recompute  always Execute.
@@ -62,7 +66,7 @@ from .canon import file_digest, regular_files
 from .executors import (OutputSpec, StagedInput, TaskSpec, artifact_present,
                         kill_live_groups)
 from .executors.local import LocalExecutor
-from .model import env_to_data, param_ref
+from .model import env_to_data, param_ref, split_ref
 from .planner import (
     Blob,
     Literal,
@@ -202,17 +206,21 @@ def checked_stamp(task: TaskInstance, cache: CacheStore, workspace: str,
     A placed file whose stat moved from the stamp's record, or whose
     mtime is not older than the stamp (the tick in which the stamp was
     written may hide a later edit: git's "racy" rule), or that the stamp
-    has no record of, is hashed. If its bytes are not those of the blob
-    the stamp names and it shares that blob's inode, it changed the blob:
-    the blob leaves the store, with the tree that holds it, so entries
-    naming them become misses. Either way the stamp goes, and the task
-    re-executes. With `dry`, nothing on disk changes."""
+    has no record of, is hashed; one that cannot be read counts as
+    changed. If its bytes are not those of the blob the stamp names and
+    it shares that blob's inode, it changed the blob: the blob leaves the
+    store, with the tree that holds it, so entries naming them become
+    misses. Either way the stamp goes, and the task re-executes. When
+    every file hashed still holds its bytes, the stamp is written again
+    with their stat as it is now, as git refreshes its index, so they
+    are not hashed again. With `dry`, nothing on disk changes."""
     stamp = read_stamp(workspace, task.id)
     if stamp is None or not _names_every_output(task, stamp):
         return None, set()
     placed = stamp.placed
     base = os.path.join(workspace, "")
-    changed, gone = False, set()
+    changed, hashed, gone = False, False, set()
+    record = {}  # workspace relpath -> the stat record of the file now
     for port, decl in task.output_decls.items():
         if decl.path is None:
             continue
@@ -232,33 +240,45 @@ def checked_stamp(task: TaskInstance, cache: CacheStore, workspace: str,
                 st = os.lstat(path)
             except OSError:
                 continue  # a missing output is remade, not checked
-            if placed.get(rel) == [st.st_ino, st.st_size, st.st_mtime_ns] \
-                    and st.st_mtime_ns < stamp.written_ns:
+            record[rel] = [st.st_ino, st.st_size, st.st_mtime_ns]
+            if placed.get(rel) == record[rel] and st.st_mtime_ns < stamp.written_ns:
                 continue
             if member is not None and members is None:
                 members = _tree_members(cache, digest)
             expected = digest if member is None else members.get(member)
-            if expected is not None and S_ISREG(st.st_mode) \
-                    and file_digest(path) == expected:
-                continue
+            hashed = True
+            with contextlib.suppress(OSError):
+                if expected is not None and S_ISREG(st.st_mode) \
+                        and file_digest(path) == expected:
+                    continue
             changed = True
-            with contextlib.suppress(FileNotFoundError):
+            with contextlib.suppress(OSError):
                 if expected is not None and os.path.samestat(
                         st, os.stat(cache.blob_path(expected))):
                     gone |= {expected, digest}
     if changed and not dry:
         for blob in gone:
-            with contextlib.suppress(FileNotFoundError):
+            try:
                 os.unlink(cache.blob_path(blob))
-        with contextlib.suppress(FileNotFoundError):
+            except FileNotFoundError:
+                pass
+            except OSError as exc:
+                log.warning("blob %s changed in place and cannot leave the "
+                            "store: %s", blob[:12], exc)
+        with contextlib.suppress(OSError):
             os.unlink(stamp_path(workspace, task.id))
+    elif hashed and not dry:
+        data = stamp.to_data()
+        data["placed"] = record
+        with contextlib.suppress(OSError):
+            replace_file(stamp_path(workspace, task.id), encode_record(data))
     return (None if changed else stamp), gone
 
 
 def _tree_members(cache: CacheStore, digest: str) -> dict:
     try:
         return cache.read_tree_manifest(digest)["entries"]
-    except CacheError:
+    except (CacheError, OSError):
         return {}
 
 
@@ -667,9 +687,13 @@ class Runner:
         """An error naming the first input whose staged bytes the task
         changed, or None; only files whose size or mtime moved are
         rehashed. A changed blob leaves the store with the tree that
-        holds it, so entries that name them become misses. A workspace
-        output that shares the blob's inode changed too; the next run's
-        check of placed outputs finds it (checked_stamp)."""
+        holds it, so entries that name them become misses. When the
+        staged file is also the producer's workspace output (both linked
+        from the store, as every placed output is), that output changed
+        too, and the bytes the producer placed exist nowhere now: the
+        output leaves the workspace with the producer's stamp, so that no
+        stamp claims the task's bytes and the next update re-executes
+        the producer."""
         for path, (port, member, stat) in sorted(before.items()):
             try:
                 now = os.stat(path)
@@ -684,6 +708,14 @@ class Runner:
                 for name in {digest, binding.digest}:
                     with contextlib.suppress(FileNotFoundError):
                         os.unlink(self.cache.blob_path(name))
+                producer = split_ref(task.input_sources[port])[0]
+                if producer in task.deps:
+                    output = binding.source if member is None else os.path.join(
+                        binding.source, member.replace("/", os.sep))
+                    with contextlib.suppress(OSError):
+                        if os.path.samestat(now, os.lstat(output)):
+                            os.unlink(output)
+                            os.unlink(stamp_path(self.workspace, producer))
                 return "ModifiedInput(%s): the task rewrote its input %s" % (
                     port, os.path.basename(path))
         return None

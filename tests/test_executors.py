@@ -12,6 +12,7 @@ import time
 import pytest
 
 import flowforge
+from flowforge import runstate
 from flowforge.executors import (OutputSpec, StagedInput, TaskSpec, batch,
                                  collect_outcome, make_executor)
 from flowforge.executors.batch import (MOCK_TEMPLATE, BatchExecutor,
@@ -551,20 +552,24 @@ def test_a_task_leaves_no_process_behind(tmp_path):
         kill_if_alive(pid)
 
 
-def test_ctrl_c_ends_a_run_and_its_tasks(tmp_path):
-    """A task leads a process group of its own, so a terminal's Ctrl-C no
-    longer reaches it; the interrupted run kills it instead."""
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGHUP, signal.SIGTERM],
+                         ids=["SIGINT", "SIGHUP", "SIGTERM"])
+def test_a_signal_ends_a_run_and_its_tasks(tmp_path, signum):
+    """A task leads a process group of its own, so neither a terminal's
+    Ctrl-C nor its hangup reaches it; the interrupted run kills it, and
+    still closes its journal."""
     pid_file = tmp_path / "pid"
     wf = tmp_path / "sleep.wf"
     wf.write_text(json.dumps({"name": "sleep", "processes": [
         {"id": "t", "command": ["sh", "-c", "echo $$ > %s && exec sleep 30" % pid_file],
          "outputs": {"o": {"type": "file", "path": "never.txt"}}}]}))
     # SIGINT raises KeyboardInterrupt only where it is not ignored, as a
-    # shell ignores it for the jobs it starts in the background
+    # shell ignores it for the jobs it starts in the background; nohup
+    # ignores SIGHUP the same way
     proc = subprocess.Popen(
         [sys.executable, "-m", "flowforge", "run", str(wf), "--workdir",
          str(tmp_path / "ws")], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        preexec_fn=lambda: signal.signal(signum, signal.SIG_DFL))
     pid = None
     try:
         deadline = time.monotonic() + 30
@@ -573,9 +578,12 @@ def test_ctrl_c_ends_a_run_and_its_tasks(tmp_path):
                 pid = int(pid_file.read_text())
             time.sleep(0.05)
         assert pid is not None, "the task never started"
-        proc.send_signal(signal.SIGINT)
-        proc.wait(timeout=10)
+        proc.send_signal(signum)
+        assert proc.wait(timeout=10) != 0
         assert ends_within(5, pid)
+        (run_dir,) = (tmp_path / "ws" / "runs").iterdir()
+        events, _ = runstate.read_events(str(run_dir / runstate.JOURNAL_NAME))
+        assert events[-1].kind == "run-finished"
     finally:
         proc.kill()
         proc.wait()

@@ -16,7 +16,7 @@ from flowforge.model import WorkflowLoader, flatten, parse_workflow
 from flowforge.planner import Blob, Literal, build_graph, task_fingerprint
 from flowforge.scheduler import (EXECUTE, Policy, Runner, SchedulerError,
                                  decide_action, generate_run_id, read_stamp,
-                                 write_stamp)
+                                 stamp_path, write_stamp)
 from flowforge.runstate import read_events
 
 from conftest import (USECASE_DIR, assert_blobs_match_names, assert_store_sealed,
@@ -653,10 +653,13 @@ def test_task_cannot_poison_the_store_through_its_input(tmp_path, kind):
     assert result.states["make"].state == "succeeded"  # the entry became a miss
     assert result.states["taint"].state == "failed"
     assert_blobs_match_names(str(ws))
-
     # A placed output, executed or linked, shares its inode with the
-    # store, and so with the input staged from it: tainting that input
-    # also changes the output, which the next update must then remake.
+    # store, and so with the input staged from it: the bytes `make`
+    # placed exist nowhere once `taint` wrote its input, so `a` leaves
+    # the workspace with make's stamp instead of keeping taint's bytes.
+    assert not made.exists()
+    assert not os.path.exists(stamp_path(str(ws), "make"))
+
     good = graph_for(tmp_path, tainting_chain(kind), {"tag": "good"})
     result = run_once(ws, good, Policy.UPDATE)
     assert result.states["make"].state == "succeeded"
@@ -670,6 +673,8 @@ def test_task_cannot_poison_the_store_through_its_input(tmp_path, kind):
     result = run_once(ws, graph_for(tmp_path, tainting_chain(kind)), Policy.LINK)
     assert result.states["make"].state == "cached"
     assert "ModifiedInput(i)" in result.states["taint"].error
+    assert not made.exists()
+    assert not os.path.exists(stamp_path(str(ws), "make"))
     result = run_once(ws, good, Policy.UPDATE)
     assert result.states["make"].state == "succeeded"
     assert result.ok
@@ -962,6 +967,46 @@ def test_a_stamp_without_a_stat_record_skips_while_the_bytes_match(tmp_path):
     strip_stat_records(ws)
     result = run_once(ws, graph_for(tmp_path, dir_chain()), Policy.UPDATE)
     assert result.counts == {"skipped-up-to-date": 3}
+
+
+def test_a_checked_stamp_is_refreshed_so_its_files_are_hashed_once(tmp_path, monkeypatch):
+    """A check that hashes a placed file and finds its bytes writes the
+    stamp again with the file's stat, as git refreshes its index."""
+    ws = tmp_path / "ws"
+    assert run_once(ws, graph_for(tmp_path, dir_chain()), Policy.UPDATE).ok
+    strip_stat_records(ws)
+    hashed = []
+    real = scheduler.file_digest
+    monkeypatch.setattr(scheduler, "file_digest",
+                        lambda path: hashed.append(path) or real(path))
+    for expected in (3, 0):
+        hashed.clear()
+        result = run_once(ws, graph_for(tmp_path, dir_chain()), Policy.UPDATE)
+        assert result.counts == {"skipped-up-to-date": 3}
+        assert len(hashed) == expected
+
+
+def test_an_output_that_cannot_be_read_counts_as_changed(tmp_path, monkeypatch):
+    """A replaced output the check cannot hash fails no run: its task
+    re-executes. Mode 0 stands for a file this user cannot read, which
+    root can."""
+    ws = tmp_path / "ws"
+    assert run_once(ws, graph_for(tmp_path, reader_chain()), Policy.UPDATE).ok
+    os.unlink(ws / "a.txt")
+    (ws / "a.txt").write_text("hi\n")
+    os.chmod(ws / "a.txt", 0)
+    real = scheduler.file_digest
+
+    def digest(path):
+        if not os.stat(path).st_mode & 0o777:
+            raise PermissionError(13, "Permission denied", path)
+        return real(path)
+    monkeypatch.setattr(scheduler, "file_digest", digest)
+    result = run_once(ws, graph_for(tmp_path, reader_chain()), Policy.UPDATE)
+    assert started_tasks(read_journal(str(ws), result.run_id)) == ["a", "b"]
+    assert result.ok
+    assert (ws / "a.txt").read_text() == "hi\n"
+    assert_store_sealed(str(ws))
 
 
 def test_a_stamp_without_a_stat_record_is_checked_by_hashing(tmp_path):
