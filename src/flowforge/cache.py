@@ -199,20 +199,13 @@ class CacheStore:
         except FileNotFoundError:
             return None
 
-    def put_tree(self, root, dest=None) -> str:
+    def put_tree(self, root, adopt: bool = False) -> str:
         """Store a directory: every member file as a blob plus the
-        canonical tree manifest; returns the tree digest. With `dest`,
-        `root` is a task's output: each member is adopted (see put_blob)
-        and its blob hard-linked at its relpath under `dest`."""
-        root = os.fspath(root)
-
-        def member(path):
-            digest = self.put_blob(path, adopt=dest is not None)
-            if dest is not None:
-                link_file(self.blob_path(digest),
-                          os.path.join(dest, path[len(root):].lstrip(os.sep)))
-            return digest
-        return self.put_blob(canon_bytes(tree_manifest(root, member)))
+        canonical tree manifest; returns the tree digest. With `adopt`,
+        each member the engine owns becomes its blob (see put_blob);
+        materialize_tree places the tree."""
+        return self.put_blob(canon_bytes(tree_manifest(
+            os.fspath(root), lambda path: self.put_blob(path, adopt=adopt))))
 
     def open_blob(self, digest: str):
         """The blob, open unbuffered: a read of n bytes reads n, no more."""

@@ -183,11 +183,8 @@ def make_executor(spec: str, workspace: str):
     local | batch:mock | remote:loopback; batch/remote state lives
     under the workspace's .flowforge directory.
     """
-    from .batch import BatchExecutor
-    from .local import LocalExecutor
-    from .remote import LoopbackTransport, RemoteExecutor
-
     if spec == "local":
+        from .local import LocalExecutor
         return LocalExecutor()
     if spec.startswith("batch:"):
         name = spec.split(":", 1)[1]
@@ -195,14 +192,15 @@ def make_executor(spec: str, workspace: str):
             raise ExecutorError(
                 "unknown batch backend %r (the mock backend is the only bundled one)"
                 % name)
-        spool = os.path.join(workspace, ".flowforge", "spool")
-        return BatchExecutor(spool)
+        from .batch import BatchExecutor
+        return BatchExecutor(os.path.join(workspace, ".flowforge", "spool"))
     if spec.startswith("remote:"):
         name = spec.split(":", 1)[1]
         if name != "loopback":
             raise ExecutorError(
                 "unknown remote transport %r (loopback is the only bundled one)"
                 % name)
-        root = os.path.join(workspace, ".flowforge", "remote")
-        return RemoteExecutor(LoopbackTransport(root))
+        from .remote import LoopbackTransport, RemoteExecutor
+        return RemoteExecutor(LoopbackTransport(
+            os.path.join(workspace, ".flowforge", "remote")))
     raise ExecutorError("unknown executor %r" % spec)

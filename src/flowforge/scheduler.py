@@ -12,8 +12,9 @@ blocked tasks on the spot, and queues tasks to execute until one of the
 its predicted outcome instead.
 
 In run() the scheduler thread owns the results and the journal. A
-worker stages, executes and then publishes its own task: outputs into
-the cache and workspace, the stamp, the cache entry. That is safe
+worker stages and executes its own task, then stores its outputs in the
+cache and places them in the workspace as a link does (_link_outputs,
+which writes the stamp), then stores the cache entry. That is safe
 without locks because output paths are unique per task, the cache
 installs blobs and entries by atomic rename, and stamps are per task. A
 worker hands back only a TaskResult; the journal is fsynced once before
@@ -61,8 +62,8 @@ from stat import S_ISREG
 
 from . import provenance, runstate
 from .cache import (CacheEntry, CacheError, CacheStore, encode_record,
-                    link_file, read_entry, replace_file)
-from .canon import file_digest, regular_files
+                    read_entry, replace_file)
+from .canon import file_digest
 from .executors import (OutputSpec, StagedInput, TaskSpec, artifact_present,
                         kill_live_groups)
 from .executors.local import LocalExecutor
@@ -179,21 +180,13 @@ def read_stamp(workspace: str, task_id: str) -> Stamp | None:
         return None
 
 
-def write_stamp(workspace: str, task_id: str, entry: CacheEntry, outputs=None):
-    """Write the stamp of `entry`; with `outputs`, the task's output
-    declarations, it records the stat of every file they placed."""
+def write_stamp(workspace: str, task_id: str, entry: CacheEntry, placed=None):
+    """Write the stamp of `entry`, the one writer of stamps; `placed`,
+    workspace relpath -> [st_ino, st_size, st_mtime_ns] of each file the
+    task placed, is recorded with it (see Stamp)."""
     data = entry.to_data()
-    if outputs is not None:
-        data["placed"] = placed = {}
-        for decl in outputs:
-            if decl.path is None:
-                continue
-            full = os.path.join(workspace, decl.path.replace("/", os.sep))
-            files = [(decl.path, full)] if decl.type.kind != "directory" else \
-                [(decl.path + "/" + rel, path) for rel, path in regular_files(full)]
-            for rel, path in files:
-                st = os.lstat(path)
-                placed[rel] = [st.st_ino, st.st_size, st.st_mtime_ns]
+    if placed is not None:
+        data["placed"] = placed
     replace_file(stamp_path(workspace, task_id), encode_record(data))
 
 
@@ -268,10 +261,8 @@ def checked_stamp(task: TaskInstance, cache: CacheStore, workspace: str,
         with contextlib.suppress(OSError):
             os.unlink(stamp_path(workspace, task.id))
     elif hashed and not dry:
-        data = stamp.to_data()
-        data["placed"] = record
         with contextlib.suppress(OSError):
-            replace_file(stamp_path(workspace, task.id), encode_record(data))
+            write_stamp(workspace, task.id, stamp, record)
     return (None if changed else stamp), gone
 
 
@@ -464,7 +455,7 @@ class Runner:
                     else:
                         try:
                             self._link_outputs(resolved, action.entry)
-                        except CacheError as exc:
+                        except (CacheError, OSError) as exc:
                             log.warning("task %s cannot be linked, executing "
                                         "it instead: %s", tid, exc)
                             heapq.heappush(runnable, (tid, resolved, fp))
@@ -673,7 +664,7 @@ class Runner:
             entry = CacheEntry(fp, os.path.basename(run_dir),
                                self._publish_outputs(task, workdir),
                                dict(outcome.value_outputs))
-            write_stamp(self.workspace, task.id, entry, task.output_decls.values())
+            self._link_outputs(task, entry)
             self.cache.put_entry(entry)
         except (CacheError, OSError) as exc:
             return TaskResult("failed", exit_code=outcome.exit_code,
@@ -722,33 +713,38 @@ class Runner:
 
     def _publish_outputs(self, task: TaskInstance, workdir: str) -> dict[str, str]:
         """Store declared outputs, adopting each file the task produced
-        (CacheStore.put_blob), and place each in the workspace as a hard
-        link to its blob. Returns port -> digest."""
+        (CacheStore.put_blob); returns port -> digest. _link_outputs
+        places them."""
         files: dict[str, str] = {}
         for port, rel in sorted(task.file_output_paths.items()):
             produced = os.path.join(workdir, rel.replace("/", os.sep))
-            dest = os.path.join(self.workspace, rel.replace("/", os.sep))
-            if task.output_decls[port].type.kind != "directory":
+            if task.output_decls[port].type.kind == "directory":
+                files[port] = self.cache.put_tree(produced, adopt=True)
+            else:
                 files[port] = self.cache.put_blob(produced, adopt=True)
-                link_file(self.cache.blob_path(files[port]), dest)
-                continue
-            if os.path.isdir(dest):
-                shutil.rmtree(dest)
-            os.makedirs(dest)
-            files[port] = self.cache.put_tree(produced, dest)
         return files
 
     def _link_outputs(self, task: TaskInstance, entry: CacheEntry):
-        """Materialize a cached result into the workspace without executing."""
+        """Place the outputs `entry` records in the workspace, each file a
+        hard link to its blob, and write the task's stamp with the stat of
+        every file placed. A directory output replaces the directory at
+        its path; a file output replaces no directory."""
+        placed = {}  # workspace relpath -> stat record, as Stamp.placed
         for port, rel in sorted(task.file_output_paths.items()):
             dest = os.path.join(self.workspace, rel.replace("/", os.sep))
+            digest = entry.file_outputs[port]
             if task.output_decls[port].type.kind == "directory":
                 if os.path.isdir(dest):
                     shutil.rmtree(dest)
-                self.cache.materialize_tree(entry.file_outputs[port], dest)
+                files = [(rel + "/" + member, path) for member, path
+                         in self.cache.materialize_tree(digest, dest).items()]
             else:
-                self.cache.materialize_blob(entry.file_outputs[port], dest)
-        write_stamp(self.workspace, task.id, entry, task.output_decls.values())
+                self.cache.materialize_blob(digest, dest)
+                files = [(rel, dest)]
+            for name, path in files:
+                st = os.lstat(path)
+                placed[name] = [st.st_ino, st.st_size, st.st_mtime_ns]
+        write_stamp(self.workspace, task.id, entry, placed)
 
     # -- journal payloads ----------------------------------------------------
 

@@ -92,6 +92,16 @@ def test_cache_gc_loads_no_scheduler(tmp_path, finished):
     assert modules & {"flowforge.scheduler", "yaml"} == set()
 
 
+def test_a_local_run_loads_no_other_executor(tmp_path):
+    wf = tmp_path / "one.wf"
+    wf.write_text(json.dumps(ONE_STEP))
+    code, modules = loaded(tmp_path, "run", wf, "--executor", "local",
+                           "--workdir", tmp_path / "ws")
+    assert code in (None, 0)
+    assert "flowforge.scheduler" in modules
+    assert modules & {"flowforge.executors.batch", "flowforge.executors.remote"} == set()
+
+
 def test_every_export_resolves():
     for name in flowforge.__all__:
         assert getattr(flowforge, name) is not None, name

@@ -1,8 +1,9 @@
 """Every small file the engine keeps is replaced through one writer,
 cache.replace_file, and CacheStore.put_blob alone installs blobs; each
-kind of JSON record has one parser. No linter is installed, so the
-checks are written here with the standard library, as in
-test_unused_imports.py."""
+kind of JSON record has one parser; outputs reach the workspace by one
+path, the store's materialize_* calls, which alone link files. No
+linter is installed, so the checks are written here with the standard
+library, as in test_unused_imports.py."""
 
 import ast
 import os
@@ -14,6 +15,10 @@ PACKAGE = os.path.dirname(os.path.abspath(flowforge.__file__))
 # (module path within the package, qualified function) that may rename
 # a file into place
 RENAMERS = {("cache.py", "replace_file"), ("cache.py", "CacheStore.put_blob")}
+
+# (module path within the package, qualified function) that may make a
+# hard link: placing a blob, and adopting a task's output as one
+LINKERS = {("cache.py", "link_file"), ("cache.py", "CacheStore._adopt")}
 
 # (module path within the package, qualified function) that may parse
 # JSON: one per kind of record
@@ -97,3 +102,16 @@ def test_each_kind_of_json_record_has_one_parser():
     found = {(rel, site) for rel, tree in modules()
              for site in use_sites(tree, "json", ("load", "loads"))}
     assert found == JSON_READERS
+
+
+def test_only_the_store_places_files():
+    """No module but cache.py reaches link_file, so outputs are placed
+    through CacheStore.materialize_*, and only link_file and _adopt call
+    os.link."""
+    assert use_sites(ast.parse("def f():\n    from .cache import link_file\n"),
+                     "cache", ("link_file",)) == ["f"]
+    assert {rel for rel, tree in modules()
+            if use_sites(tree, "cache", ("link_file",))} == set()
+    found = {(rel, site) for rel, tree in modules()
+             for site in use_sites(tree, "os", ("link",))}
+    assert found == LINKERS

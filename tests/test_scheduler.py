@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import sys
 import tempfile
 import threading
@@ -769,8 +770,8 @@ def test_directory_artifact_file_operation_budget(tmp_path, monkeypatch):
         assert len(placed) == 2 * n + 1 + (not fresh)
         assert not any(existed for existed, _ in counting.calls["makedirs"])
         assert len(made) == len(set(made))
-        if not fresh:  # the store's directories exist: only count's sandbox
-            assert len(made) == 1
+        if not fresh:  # the store's directories exist: the workspace's
+            assert len(made) == 2  # d, removed and placed again, and count's sandbox
     assert_store_sealed(str(ws))
 
 
@@ -915,10 +916,25 @@ def test_an_output_replaced_by_a_directory_is_found(tmp_path):
     assert run_once(ws, graph_for(tmp_path, reader_chain()), Policy.UPDATE).ok
     os.unlink(ws / "a.txt")
     os.mkdir(ws / "a.txt")
-    for policy in (Policy.UPDATE, Policy.RECOMPUTE):
+    for policy in (Policy.UPDATE, Policy.RECOMPUTE, Policy.LINK):
         result = run_once(ws, graph_for(tmp_path, reader_chain()), policy)
         assert result.states["a"].state == "failed"
         assert "publishing outputs failed" in result.states["a"].error
+    assert_blobs_match_names(str(ws))
+
+
+def test_a_directory_output_replaced_by_a_file_is_found(tmp_path):
+    """The reverse of the test above: the file stays, and the task that
+    places a directory there fails under every policy."""
+    ws = tmp_path / "ws"
+    assert run_once(ws, graph_for(tmp_path, dir_chain()), Policy.UPDATE).ok
+    shutil.rmtree(ws / "d")
+    (ws / "d").write_text("mine\n")
+    for policy in (Policy.UPDATE, Policy.RECOMPUTE, Policy.LINK):
+        result = run_once(ws, graph_for(tmp_path, dir_chain()), policy)
+        assert result.states["d"].state == "failed"
+        assert "publishing outputs failed" in result.states["d"].error
+        assert (ws / "d").read_text() == "mine\n"
     assert_blobs_match_names(str(ws))
 
 
@@ -959,6 +975,60 @@ def dir_chain():
         {"id": "d", "command": ["sh", "-c", "mkdir -p {outputs.o}/s && echo x > {outputs.o}/s/m"],
          "outputs": {"o": {"type": "directory", "path": "d"}}})
     return doc
+
+
+def file_and_tree():
+    """`t` writes a file and a directory with a nested member; with
+    keep=no it drops the directory's member `top`."""
+    return {
+        "name": "both",
+        "params": {"keep": {"type": "string", "default": "yes"}},
+        "processes": [{
+            "id": "t",
+            "command": ["sh", "-c", "echo f > {outputs.f}; mkdir -p {outputs.d}/s;"
+                        " echo m > {outputs.d}/s/m; if [ {inputs.keep} = yes ];"
+                        " then echo top > {outputs.d}/top; fi"],
+            "inputs": {"keep": {"type": "string", "from": "params.keep"}},
+            "outputs": {"f": {"type": "file", "path": "f.txt"},
+                        "d": {"type": "directory", "path": "d"}}}],
+        "outputs": {"f": "t.f", "d": "t.d"},
+    }
+
+
+def test_executed_and_linked_outputs_are_placed_alike(tmp_path):
+    """An executed task's outputs are placed as a linked task's are: the
+    same files, recorded alike in the stamp, and no member that the
+    outputs placed last no longer hold."""
+    ws = tmp_path / "ws"
+
+    def run(policy, keep="yes"):
+        result = run_once(ws, graph_for(tmp_path, file_and_tree(), {"keep": keep}),
+                          policy)
+        assert result.ok, result.states
+        assert_store_sealed(str(ws))
+        return result.states["t"].state, json.loads(
+            (ws / ".flowforge" / "stamps" / "t").read_text())
+
+    def members():
+        return sorted(p.relative_to(ws).as_posix() for p in (ws / "d").rglob("*")
+                      if p.is_file())
+
+    state, executed = run(Policy.RECOMPUTE)
+    assert state == "succeeded"
+    state, linked = run(Policy.LINK)
+    assert state == "cached"
+    assert linked["files"] == executed["files"]
+    assert sorted(linked["placed"]) == sorted(executed["placed"]) == [
+        "d/s/m", "d/top", "f.txt"]
+    assert linked["placed"] == executed["placed"]  # the same inodes: the blobs
+    assert members() == ["d/s/m", "d/top"]
+    for policy in (Policy.RECOMPUTE, Policy.LINK):
+        state, stamp = run(policy, keep="no")
+        assert state == ("succeeded" if policy == Policy.RECOMPUTE else "cached")
+        assert sorted(stamp["placed"]) == ["d/s/m", "f.txt"]
+        assert members() == ["d/s/m"]
+        assert run(Policy.LINK)[0] == "cached"
+        assert members() == ["d/s/m", "d/top"]
 
 
 def test_a_stamp_without_a_stat_record_skips_while_the_bytes_match(tmp_path):
