@@ -34,13 +34,17 @@ writer (process, thread and call), so concurrent writers never share
 one and no listing of records sees them. Directories are made on the first write that misses them,
 not checked before each write. Directory outputs are stored as a
 tree-manifest blob (canonical bytes, own digest) plus one blob per
-member file. gc keeps the entries of kept runs, the inputs those runs
-recorded and every blob either references; it reads the 13-byte head
-of each kept blob and only tree manifests whole, so its memory does
-not grow with output size. It unlinks a blob without making it
-writable, since a placed output may share its inode. It holds an flock
-on cache/gc.lock while it runs and refuses to start when another gc
-holds it; the file stays, and one left by a killed gc holds no lock.
+member file. Placing (materialize_*) hard-links blobs and leaves alone
+what already is a blob's inode: a file, or a directory that holds
+exactly a tree's members so linked and nothing else, so placing an
+unchanged output again writes nothing. gc keeps the entries of kept
+runs, the inputs those runs recorded and every blob either references;
+it reads the 13-byte head of each kept blob and only tree manifests
+whole, so its memory does not grow with output size. It unlinks a
+blob without making it writable, since a placed output may share its
+inode. It holds an flock on cache/gc.lock while it runs and refuses to
+start when another gc holds it; the file stays, and one left by a
+killed gc holds no lock.
 """
 
 from __future__ import annotations
@@ -242,15 +246,49 @@ class CacheStore:
             raise CacheError("blob %s missing from store" % digest) from exc
 
     def materialize_tree(self, digest: str, dest: str) -> dict:
-        """Place a stored directory at dest; returns relpath -> path
-        placed, for each member."""
-        manifest = self.read_tree_manifest(digest)
+        """Make dest hold a stored directory and nothing else; returns
+        relpath -> path placed, for each member. A directory there that
+        holds exactly the members, each already its blob's inode, is
+        left as it is; any other is removed and the tree placed anew."""
+        entries = self.read_tree_manifest(digest)["entries"]
+        placed = {rel: os.path.join(dest, rel.replace("/", os.sep))
+                  for rel in entries}
+        try:
+            if self._holds_tree(dest, entries):
+                return placed
+            shutil.rmtree(dest)
+        except FileNotFoundError:  # nothing at dest yet
+            pass
         os.makedirs(dest, exist_ok=True)
-        placed = {}
-        for rel, member in manifest["entries"].items():
-            placed[rel] = os.path.join(dest, rel.replace("/", os.sep))
+        for rel, member in entries.items():
             self.materialize_blob(member, placed[rel])
         return placed
+
+    def _holds_tree(self, root: str, entries: dict) -> bool:
+        """Whether the directory `root` holds the members `entries`
+        names, each a link to its blob, and nothing else: no other file,
+        symlink or directory, empty or not. Raises FileNotFoundError
+        when nothing is at `root`."""
+        dirs = set()  # the directories the members sit in
+        for rel in entries:
+            while "/" in rel:
+                rel = rel.rsplit("/", 1)[0]
+                dirs.add(rel)
+        found, pending = 0, [("", root)]
+        while pending:
+            prefix, path = pending.pop()
+            with os.scandir(path) as listing:
+                for item in listing:
+                    rel = prefix + item.name
+                    if rel in dirs and item.is_dir(follow_symlinks=False):
+                        pending.append((rel + "/", item.path))
+                    elif rel in entries and item.is_file(follow_symlinks=False) \
+                            and _is_link_to(item.stat(follow_symlinks=False),
+                                            self.blob_path(entries[rel])):
+                        found += 1
+                    else:
+                        return False
+        return found == len(entries) and not os.path.islink(root)
 
     # -- task entries -----------------------------------------------------
 
@@ -414,12 +452,15 @@ def _making_shard(move, src: str, dest: str):
 
 def link_file(src: str, dest: str):
     """Hard-link src at dest, replacing dest; copy it, mode included,
-    where the filesystem has no hard links. An old dest is removed, and
-    a missing parent directory made, only when the link meets one."""
+    where the filesystem has no hard links. A dest that is src's inode
+    already is left as it is. An old dest is removed, and a missing
+    parent directory made, only when the link meets one."""
     try:
         os.link(src, dest)
         return
     except FileExistsError:
+        if _is_link_to(os.lstat(dest), src):
+            return
         os.unlink(dest)
     except FileNotFoundError:
         os.makedirs(os.path.dirname(dest) or ".", exist_ok=True)
@@ -430,6 +471,15 @@ def link_file(src: str, dest: str):
         os.link(src, dest)
     except OSError:
         shutil.copy(src, dest)
+
+
+def _is_link_to(st: os.stat_result, path: str) -> bool:
+    """Whether `st`, an lstat, is of the file at `path`; False when
+    nothing is there."""
+    try:
+        return os.path.samestat(st, os.stat(path))
+    except FileNotFoundError:
+        return False
 
 
 def _listdir_or_empty(path: str) -> list:

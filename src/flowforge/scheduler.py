@@ -28,11 +28,15 @@ would reach the store. Stamps therefore record each placed file's
 (st_ino, st_size, st_mtime_ns), and before the walk decides any task,
 under every policy, it checks every task's placed files against its
 stamp (checked_stamp): a changed file costs one hash, a blob it changed
-leaves the store, and its stamp goes, so the task re-executes. A stamp
-whose files were hashed and found unchanged is written again with their
-stat, so they are hashed once. A staged input is a link into the store
-as well; a task that writes one fails, and the producer's output that
-shared its inode leaves the workspace with the producer's stamp.
+leaves the store, and its stamp goes, so the task re-executes; so does
+a member gone from a directory output. A stamp whose files were hashed
+and found unchanged is written again with their stat, so they are
+hashed once. The checked stamp travels with the task's action, so that
+placing its outputs leaves a file the check found to be its blob, and a
+stamp that records the same placement, as they are. A staged input is
+a link into the store as well; a task that writes one fails, and the
+producer's output that shared its inode leaves the workspace with the
+producer's stamp.
 
 Policy semantics (per task):
   recompute  always Execute.
@@ -51,7 +55,6 @@ import contextlib
 import heapq
 import logging
 import os
-import shutil
 import socket
 import time
 import uuid
@@ -100,12 +103,19 @@ class Policy(str, Enum):
 class TaskAction:
     kind: str  # "execute" | "link" | "skip" | "blocked"
     fingerprint: str | None = None
-    # link's cache hit, else the task's checked stamp
-    entry: CacheEntry | None = field(default=None, compare=False)
+    # the task's stamp, as checked_stamp returned it
+    stamp: Stamp | None = field(default=None, compare=False)
+    hit: CacheEntry | None = field(default=None, compare=False)  # link's
 
     @property
     def is_execute(self) -> bool:
         return self.kind == "execute"
+
+    @property
+    def entry(self) -> CacheEntry | None:
+        """The outputs the action settles from: link's cache hit, else
+        the task's checked stamp."""
+        return self.hit if self.kind == "link" else self.stamp
 
 
 EXECUTE = TaskAction("execute")
@@ -203,10 +213,14 @@ def checked_stamp(task: TaskInstance, cache: CacheStore, workspace: str,
     changed. If its bytes are not those of the blob the stamp names and
     it shares that blob's inode, it changed the blob: the blob leaves the
     store, with the tree that holds it, so entries naming them become
-    misses. Either way the stamp goes, and the task re-executes. When
+    misses. Either way the stamp goes, and the task re-executes; so it
+    does when a directory output lost a member the stamp names. A
+    missing file output is left to the policy (artifact_present). When
     every file hashed still holds its bytes, the stamp is written again
     with their stat as it is now, as git refreshes its index, so they
-    are not hashed again. With `dry`, nothing on disk changes."""
+    are not hashed again. The stamp returned holds in `placed` the stat
+    of each placed file the check found, as it found it. With `dry`,
+    nothing on disk changes."""
     stamp = read_stamp(workspace, task.id)
     if stamp is None or not _names_every_output(task, stamp):
         return None, set()
@@ -232,8 +246,11 @@ def checked_stamp(task: TaskInstance, cache: CacheStore, workspace: str,
             try:
                 st = os.lstat(path)
             except OSError:
-                continue  # a missing output is remade, not checked
-            record[rel] = [st.st_ino, st.st_size, st.st_mtime_ns]
+                # a missing file output is remade, not checked; a
+                # directory output that lost a member has changed
+                changed |= member is not None
+                continue
+            record[rel] = _record(st)
             if placed.get(rel) == record[rel] and st.st_mtime_ns < stamp.written_ns:
                 continue
             if member is not None and members is None:
@@ -263,7 +280,12 @@ def checked_stamp(task: TaskInstance, cache: CacheStore, workspace: str,
     elif hashed and not dry:
         with contextlib.suppress(OSError):
             write_stamp(workspace, task.id, stamp, record)
-    return (None if changed else stamp), gone
+    return (None if changed else replace(stamp, placed=record)), gone
+
+
+def _record(st: os.stat_result) -> list:
+    """The record of a placed file's stat, as Stamp.placed holds it."""
+    return [st.st_ino, st.st_size, st.st_mtime_ns]
 
 
 def _tree_members(cache: CacheStore, digest: str) -> dict:
@@ -293,7 +315,7 @@ def decide_action(task: TaskInstance, policy: Policy, cache: CacheStore,
     if policy == Policy.LINK:
         entry = cache.get_entry(fp)
         if entry is not None and _names_every_output(task, entry):
-            return TaskAction("link", fp, entry)
+            return TaskAction("link", fp, stamp, entry)
     elif stamp is not None and stamp.fingerprint == fp \
             and all(artifact_present(workspace, decl)
                     for decl in task.output_decls.values() if decl.path is not None):
@@ -427,7 +449,7 @@ class Runner:
         walk = _Walk(self, graph, policy)
         result = RunResult(run_id, walk.results, 0.0)
         results = result.states
-        runnable: list[tuple[str, TaskInstance, str]] = []  # heap by id
+        runnable: list[tuple[str, TaskInstance, TaskAction]] = []  # heap by id
         futures: dict = {}
         stop = False
 
@@ -448,29 +470,30 @@ class Runner:
                             "task %s needs an output its upstream result lacks"
                             % tid)
                     elif action.kind == "execute":
-                        heapq.heappush(runnable, (tid, resolved, fp))
+                        heapq.heappush(runnable, (tid, resolved, action))
                     elif action.kind == "skip":
                         finish(tid, _settled_result(action, action.entry),
                                {"state": "skipped-up-to-date", "fingerprint": fp})
                     else:
                         try:
-                            self._link_outputs(resolved, action.entry)
+                            self._link_outputs(resolved, action.entry, action.stamp)
                         except (CacheError, OSError) as exc:
                             log.warning("task %s cannot be linked, executing "
                                         "it instead: %s", tid, exc)
-                            heapq.heappush(runnable, (tid, resolved, fp))
+                            heapq.heappush(runnable, (tid, resolved, action))
                             continue
                         linked = _settled_result(action, action.entry)
                         finish(tid, linked, self._finish_payload(resolved, linked))
 
                 while runnable and len(futures) < self.jobs and not stop:
-                    tid, resolved, fp = heapq.heappop(runnable)
+                    tid, resolved, action = heapq.heappop(runnable)
                     journal.append("task-started", tid, {
-                        "fingerprint": fp,
+                        "fingerprint": action.fingerprint,
                         "executor": self.executor.name,
                     })
-                    futures[pool.submit(self._execute_task, resolved, fp,
-                                        run_dir)] = resolved
+                    futures[pool.submit(self._execute_task, resolved,
+                                        action.fingerprint, run_dir,
+                                        action.stamp)] = resolved
 
                 if not futures:
                     break
@@ -618,10 +641,11 @@ class Runner:
             placed = [(None, dest)]
         return rel, {path: (port, member, os.stat(path)) for member, path in placed}
 
-    def _execute_task(self, task: TaskInstance, fp: str,
-                      run_dir: str) -> TaskResult:
+    def _execute_task(self, task: TaskInstance, fp: str, run_dir: str,
+                      stamp: Stamp | None) -> TaskResult:
         """Worker-thread body: hermetic workdir, staged inputs, executor
-        call, then this task's outputs, stamp and cache entry.
+        call, then this task's outputs, stamp and cache entry; `stamp` is
+        the task's checked stamp (see _link_outputs).
         Infrastructure problems become failed results rather than
         exceptions so the run can keep accounting."""
         workdir = os.path.join(run_dir, "tasks", task.id)
@@ -664,7 +688,7 @@ class Runner:
             entry = CacheEntry(fp, os.path.basename(run_dir),
                                self._publish_outputs(task, workdir),
                                dict(outcome.value_outputs))
-            self._link_outputs(task, entry)
+            self._link_outputs(task, entry, stamp)
             self.cache.put_entry(entry)
         except (CacheError, OSError) as exc:
             return TaskResult("failed", exit_code=outcome.exit_code,
@@ -724,27 +748,36 @@ class Runner:
                 files[port] = self.cache.put_blob(produced, adopt=True)
         return files
 
-    def _link_outputs(self, task: TaskInstance, entry: CacheEntry):
+    def _link_outputs(self, task: TaskInstance, entry: CacheEntry,
+                      stamp: Stamp | None):
         """Place the outputs `entry` records in the workspace, each file a
         hard link to its blob, and write the task's stamp with the stat of
-        every file placed. A directory output replaces the directory at
-        its path; a file output replaces no directory."""
+        every file placed. What is in place already is left as it is: a
+        file output whose record in `stamp`, the task's checked stamp, is
+        its blob's stat, and a directory output that holds exactly its
+        members so linked (CacheStore.materialize_tree). Any other
+        directory at a directory output's path is replaced; a file output
+        replaces no directory. A stamp that records this entry and this
+        placement already is not written again."""
+        found = stamp.placed if stamp is not None else {}
         placed = {}  # workspace relpath -> stat record, as Stamp.placed
         for port, rel in sorted(task.file_output_paths.items()):
             dest = os.path.join(self.workspace, rel.replace("/", os.sep))
             digest = entry.file_outputs[port]
             if task.output_decls[port].type.kind == "directory":
-                if os.path.isdir(dest):
-                    shutil.rmtree(dest)
                 files = [(rel + "/" + member, path) for member, path
                          in self.cache.materialize_tree(digest, dest).items()]
+            elif rel in found and found[rel] == _record(
+                    os.stat(self.cache.blob_path(digest))):
+                placed[rel] = found[rel]  # the blob's inode is there already
+                continue
             else:
                 self.cache.materialize_blob(digest, dest)
                 files = [(rel, dest)]
             for name, path in files:
-                st = os.lstat(path)
-                placed[name] = [st.st_ino, st.st_size, st.st_mtime_ns]
-        write_stamp(self.workspace, task.id, entry, placed)
+                placed[name] = _record(os.lstat(path))
+        if stamp is None or stamp.placed != placed or stamp.to_data() != entry.to_data():
+            write_stamp(self.workspace, task.id, entry, placed)
 
     # -- journal payloads ----------------------------------------------------
 

@@ -715,7 +715,9 @@ def test_directory_artifact_file_operation_budget(tmp_path, monkeypatch):
     hash and one link into the store; the one file created under
     cache/objects is the new tree manifest's. Placing and staging cost one link per member placed;
     no mkstemp, and a makedirs only for a directory that does not exist
-    yet."""
+    yet. A second round reproduces the same bytes, so the workspace
+    already holds every blob's inode: it is left as it is, and only the
+    staging links into count's sandbox remain."""
     n = 200
     doc = {
         "name": "budget",
@@ -763,15 +765,15 @@ def test_directory_artifact_file_operation_budget(tmp_path, monkeypatch):
         assert len(into_store) == len(produced) + sum(
             path.startswith(objects) for path in made)
         # n members into the workspace, n into count's sandbox, and n.txt;
-        # replacing the first round's n.txt takes a second link after unlink
+        # the second round finds the workspace's n + 1 in place
         placed = [args[1] for _, args in counting.calls["link"]
                   if not args[1].startswith(objects)]
-        assert len(set(placed)) == 2 * n + 1
-        assert len(placed) == 2 * n + 1 + (not fresh)
+        assert len(placed) == len(set(placed)) == (2 * n + 1 if fresh else n)
+        assert sum(path.startswith(sandboxes) for path in placed) == n
         assert not any(existed for existed, _ in counting.calls["makedirs"])
         assert len(made) == len(set(made))
-        if not fresh:  # the store's directories exist: the workspace's
-            assert len(made) == 2  # d, removed and placed again, and count's sandbox
+        if not fresh:  # the store's directories and d exist: count's sandbox
+            assert len(made) == 1
     assert_store_sealed(str(ws))
 
 
@@ -1029,6 +1031,129 @@ def test_executed_and_linked_outputs_are_placed_alike(tmp_path):
         assert members() == ["d/s/m"]
         assert run(Policy.LINK)[0] == "cached"
         assert members() == ["d/s/m", "d/top"]
+
+
+def file_and_wide_tree(n=200):
+    """`t` writes a file and a directory of n + 1 members, one nested."""
+    return {
+        "name": "wide",
+        "processes": [{
+            "id": "t",
+            "command": ["sh", "-c", "echo f > {outputs.f}; mkdir -p {outputs.d}/s;"
+                        " echo m > {outputs.d}/s/m; for i in $(seq %d);"
+                        " do echo $i > {outputs.d}/m$i; done" % n],
+            "outputs": {"f": {"type": "file", "path": "f.txt"},
+                        "d": {"type": "directory", "path": "d"}}}],
+        "outputs": {"f": "t.f", "d": "t.d"},
+    }
+
+
+def workspace_state(ws, run_id=None):
+    """path -> (st_ino, st_nlink, st_mtime_ns, st_ctime_ns) of every file,
+    directory and stamp in the workspace but the records of run `run_id`:
+    its directory, the run index and the runs/ directory that lists it."""
+    state = {}
+    for dirpath, dirnames, filenames in os.walk(ws):
+        for name in dirnames + filenames:
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, ws).replace(os.sep, "/")
+            if rel in ("runs", "runs/index.json", "runs/%s" % run_id) \
+                    or rel.startswith("runs/%s/" % run_id):
+                continue
+            st = os.lstat(path)
+            state[rel] = (st.st_ino, st.st_nlink, st.st_mtime_ns, st.st_ctime_ns)
+    return state
+
+
+def test_an_unchanged_link_run_leaves_the_workspace_as_it_was(tmp_path):
+    """Outputs that already are their blobs, and a stamp that already
+    records them, are left as they are: no link, unlink, rename or
+    directory made or removed, so no inode, link count or time moves."""
+    ws = tmp_path / "ws"
+    graph = graph_for(tmp_path, file_and_wide_tree())
+    assert run_once(ws, graph, Policy.RECOMPUTE).ok
+    assert run_once(ws, graph, Policy.LINK).ok  # refreshes a stamp of its files' tick
+    before = workspace_state(str(ws))
+    assert len(before) > 200
+    result = run_once(ws, graph, Policy.LINK)
+    assert result.counts == {"cached": 1}
+    assert workspace_state(str(ws), result.run_id) == before
+    assert_store_sealed(str(ws))
+
+
+def add_file(d):
+    (d / "extra").write_text("extra\n")
+
+
+def add_empty_dir(d):
+    (d / "empty").mkdir()
+
+
+def member_to_symlink(d):
+    target = os.path.realpath(d / "s" / "m")
+    os.unlink(d / "s" / "m")
+    os.symlink(target, d / "s" / "m")
+
+
+def delete_member(d):
+    os.unlink(d / "top")
+
+
+def member_to_copy(d):
+    data = (d / "s" / "m").read_bytes()
+    os.unlink(d / "s" / "m")
+    (d / "s" / "m").write_bytes(data)
+
+
+def file_to_copy(d):
+    f = d.parent / "f.txt"
+    data = f.read_bytes()
+    os.unlink(f)
+    f.write_bytes(data)
+
+
+@pytest.mark.parametrize("policy", [Policy.LINK, Policy.RECOMPUTE])
+@pytest.mark.parametrize("change", [add_file, add_empty_dir, member_to_symlink,
+                                    delete_member, member_to_copy, file_to_copy])
+def test_placing_keeps_only_outputs_that_are_their_blobs(tmp_path, change, policy):
+    """However a placed output was changed, placing it again leaves
+    exactly what removing it and placing it anew gives: the directory
+    holds the manifest's members and nothing else, each file a link to
+    its blob."""
+    ws = tmp_path / "ws"
+    graph = graph_for(tmp_path, file_and_tree())
+    assert run_once(ws, graph, Policy.RECOMPUTE).ok
+    change(ws / "d")
+    assert run_once(ws, graph, policy).ok
+    store = CacheStore(str(ws / "cache"))
+    stamp = read_stamp(str(ws), "t")
+    members = store.read_tree_manifest(stamp.file_outputs["d"])["entries"]
+    assert sorted(p.relative_to(ws / "d").as_posix() for p in (ws / "d").rglob("*")) \
+        == sorted(set(members) | {"s"})
+    for rel, digest in members.items():
+        assert os.path.samestat(os.lstat(ws / "d" / rel), os.stat(store.blob_path(digest)))
+    assert os.path.samestat(os.lstat(ws / "f.txt"),
+                            os.stat(store.blob_path(stamp.file_outputs["f"])))
+    assert_store_sealed(str(ws))
+
+
+@pytest.mark.parametrize("policy", [Policy.UPDATE, Policy.LINK])
+def test_a_directory_output_that_lost_a_member_is_placed_again(tmp_path, policy):
+    """A member gone from a placed directory output is a change, as a
+    gone file output is: update executes the task, and its preview says
+    so."""
+    ws = tmp_path / "ws"
+    graph = graph_for(tmp_path, file_and_tree())
+    assert run_once(ws, graph, Policy.UPDATE).ok
+    os.unlink(ws / "d" / "top")
+    preview = Runner(str(ws)).plan_preview(graph, policy)
+    result = run_once(ws, graph, policy)
+    assert result.ok
+    started = started_tasks(read_journal(str(ws), result.run_id))
+    assert started == (["t"] if policy == Policy.UPDATE else [])
+    assert {t for t, a in preview.items() if a.is_execute} == set(started)
+    assert (ws / "d" / "top").read_text() == "top\n"
+    assert_store_sealed(str(ws))
 
 
 def test_a_stamp_without_a_stat_record_skips_while_the_bytes_match(tmp_path):
