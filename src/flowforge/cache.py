@@ -16,35 +16,35 @@ put_blob is the one place that installs a blob. A file a task produced,
 which the engine owns (a regular file with one link), is adopted: made
 read-only, hashed in place, hard-linked under its digest and stat'ed
 again, so its bytes are written once, by the task, and stored once; a
-size or mtime that moved means a writer was still at work, and the
-blob goes (executors.spawn kills what a task leaves running). Anything
-else (an external input, a symlink, a hard link to a file outside the
-sandbox) is copied: hashed while it is read, into memory when it fits
-in one read chunk and into a temp file otherwise, and installed by
-atomic rename under the digest of the bytes read, so a file the engine
-does not own is never made read-only or shared with the store. Content
-already stored costs no create and is not rewritten, so the hard links
-to a blob (sandboxes, workspace outputs) keep sharing its inode; only a
-blob whose size is not that of the bytes just hashed is replaced. The
-scheduler finds the edits of placed outputs that ignore the read-only
-mode (checked_stamp). Every other small file the engine keeps
-(entries, stamps, provenance, spool states) is replaced whole through
+size or mtime that moved means a writer was still at work, and the blob
+goes (executors.spawn kills what a task leaves running). Anything else
+(an external input, a symlink, a hard link to a file outside the
+sandbox) is copied: hashed while it is read, into memory when it fits in
+one read chunk and into a temp file otherwise, and installed by atomic
+rename under the digest of the bytes read, so a file the engine does not
+own is never made read-only or shared with the store. Content already
+stored costs no create and is not rewritten, so the hard links to a blob
+(sandboxes, workspace outputs) keep sharing its inode; only a blob whose
+size is not that of the bytes just hashed is replaced. The scheduler
+finds the edits of placed outputs that ignore the read-only mode
+(checked_stamp). Every other small file the engine keeps (entries,
+stamps, provenance, spool states) is replaced whole through
 replace_file. Temp files are dot-files named for the target and their
-writer (process, thread and call), so concurrent writers never share
-one and no listing of records sees them. Directories are made on the first write that misses them,
-not checked before each write. Directory outputs are stored as a
-tree-manifest blob (canonical bytes, own digest) plus one blob per
-member file. Placing (materialize_*) hard-links blobs and leaves alone
-what already is a blob's inode: a file, or a directory that holds
-exactly a tree's members so linked and nothing else, so placing an
-unchanged output again writes nothing. gc keeps the entries of kept
-runs, the inputs those runs recorded and every blob either references;
-it reads the 13-byte head of each kept blob and only tree manifests
-whole, so its memory does not grow with output size. It unlinks a
-blob without making it writable, since a placed output may share its
-inode. It holds an flock on cache/gc.lock while it runs and refuses to
-start when another gc holds it; the file stays, and one left by a
-killed gc holds no lock.
+writer (process, thread and call), so concurrent writers never share one
+and no listing of records sees them. Directories are made on the first
+write that misses them, not checked before each write. Directory outputs
+are stored as a tree-manifest blob (canonical bytes, own digest) plus
+one blob per member file. Placing (materialize_*) has one rule for a
+file output and a directory member alike: keep a file whose stat record
+from the stamp check (stat_record) is its blob's stat, hard-link any
+other (link_file), and first remove from a directory output only what
+its manifest lacks (_prune). gc keeps the entries of kept runs, the
+inputs those runs recorded and every blob either references; it reads
+the 13-byte head of each kept blob and only tree manifests whole, so its
+memory does not grow with output size. It unlinks a blob without making
+it writable, since a placed output may share its inode. It holds an
+flock on cache/gc.lock while it runs and refuses to start when another
+gc holds it; the file stays, and one left by a killed gc holds no lock.
 """
 
 from __future__ import annotations
@@ -237,58 +237,35 @@ class CacheStore:
             raise CacheError("blob %s is not a tree manifest" % digest)
         return manifest
 
-    def materialize_blob(self, digest: str, dest: str):
-        """Place blob content at dest. Linked files share the store's
-        read-only inode, which is the write protection."""
+    def materialize_blob(self, digest: str, dest: str, found=None) -> os.stat_result:
+        """Place blob content at dest, keeping a file there whose stat
+        record `found` is the blob's stat; returns the stat of the file
+        placed. Linked files share the store's read-only inode, which is
+        the write protection."""
+        blob = self.blob_path(digest)
         try:
-            link_file(self.blob_path(digest), dest)
+            st = os.stat(blob)
+            if found == stat_record(st) or link_file(blob, dest):
+                return st
         except FileNotFoundError as exc:
             raise CacheError("blob %s missing from store" % digest) from exc
+        return os.lstat(dest)  # a copy
 
-    def materialize_tree(self, digest: str, dest: str) -> dict:
-        """Make dest hold a stored directory and nothing else; returns
-        relpath -> path placed, for each member. A directory there that
-        holds exactly the members, each already its blob's inode, is
-        left as it is; any other is removed and the tree placed anew."""
+    def materialize_tree(self, digest: str, dest: str, found=None) -> dict:
+        """Make dest hold a stored directory and nothing else: remove
+        what the manifest lacks (_prune), then place each member as
+        materialize_blob does, with its record in `found` (member relpath
+        -> stat_record) only when the prune saw a file there, as a path
+        the prune removed voids it. Returns member relpath -> (path,
+        stat) of each file placed."""
         entries = self.read_tree_manifest(digest)["entries"]
-        placed = {rel: os.path.join(dest, rel.replace("/", os.sep))
-                  for rel in entries}
-        try:
-            if self._holds_tree(dest, entries):
-                return placed
-            shutil.rmtree(dest)
-        except FileNotFoundError:  # nothing at dest yet
-            pass
-        os.makedirs(dest, exist_ok=True)
+        seen, found = _prune(dest, entries), found or {}
+        placed = {}
         for rel, member in entries.items():
-            self.materialize_blob(member, placed[rel])
+            path = os.path.join(dest, rel.replace("/", os.sep))
+            placed[rel] = path, self.materialize_blob(
+                member, path, found.get(rel) if rel in seen else None)
         return placed
-
-    def _holds_tree(self, root: str, entries: dict) -> bool:
-        """Whether the directory `root` holds the members `entries`
-        names, each a link to its blob, and nothing else: no other file,
-        symlink or directory, empty or not. Raises FileNotFoundError
-        when nothing is at `root`."""
-        dirs = set()  # the directories the members sit in
-        for rel in entries:
-            while "/" in rel:
-                rel = rel.rsplit("/", 1)[0]
-                dirs.add(rel)
-        found, pending = 0, [("", root)]
-        while pending:
-            prefix, path = pending.pop()
-            with os.scandir(path) as listing:
-                for item in listing:
-                    rel = prefix + item.name
-                    if rel in dirs and item.is_dir(follow_symlinks=False):
-                        pending.append((rel + "/", item.path))
-                    elif rel in entries and item.is_file(follow_symlinks=False) \
-                            and _is_link_to(item.stat(follow_symlinks=False),
-                                            self.blob_path(entries[rel])):
-                        found += 1
-                    else:
-                        return False
-        return found == len(entries) and not os.path.islink(root)
 
     # -- task entries -----------------------------------------------------
 
@@ -450,36 +427,66 @@ def _making_shard(move, src: str, dest: str):
         move(src, dest)
 
 
-def link_file(src: str, dest: str):
+def link_file(src: str, dest: str) -> bool:
     """Hard-link src at dest, replacing dest; copy it, mode included,
     where the filesystem has no hard links. A dest that is src's inode
     already is left as it is. An old dest is removed, and a missing
-    parent directory made, only when the link meets one."""
+    parent directory made, only when the link meets one. Returns
+    whether dest is src's inode, False for a copy."""
     try:
         os.link(src, dest)
-        return
+        return True
     except FileExistsError:
-        if _is_link_to(os.lstat(dest), src):
-            return
+        if os.path.samestat(os.lstat(dest), os.stat(src)):
+            return True
         os.unlink(dest)
     except FileNotFoundError:
         os.makedirs(os.path.dirname(dest) or ".", exist_ok=True)
     except OSError:
         shutil.copy(src, dest)
-        return
+        return False
     try:
         os.link(src, dest)
+        return True
     except OSError:
         shutil.copy(src, dest)
-
-
-def _is_link_to(st: os.stat_result, path: str) -> bool:
-    """Whether `st`, an lstat, is of the file at `path`; False when
-    nothing is there."""
-    try:
-        return os.path.samestat(st, os.stat(path))
-    except FileNotFoundError:
         return False
+
+
+def _prune(root: str, entries: dict) -> set:
+    """Remove from the directory `root` what the tree `entries` lacks:
+    every file, symlink or directory that is neither a member's regular
+    file nor a directory on a member's path. Makes `root` when nothing
+    is there. Returns the members seen as regular files. Follows no
+    symlink: one at `root` raises NotADirectoryError, as a file does."""
+    try:
+        if not stat.S_ISDIR(os.lstat(root).st_mode):
+            raise NotADirectoryError("not a directory: %s" % root)
+    except FileNotFoundError:
+        os.makedirs(root)
+        return set()
+    dirs = {rel.rsplit("/", i)[0] for rel in entries
+            for i in range(1, rel.count("/") + 1)}  # those members sit in
+    files, pending = set(), [("", root)]
+    while pending:
+        prefix, path = pending.pop()
+        with os.scandir(path) as listing:
+            for item in listing:
+                rel = prefix + item.name
+                if rel in entries and item.is_file(follow_symlinks=False):
+                    files.add(rel)
+                elif not item.is_dir(follow_symlinks=False):
+                    os.unlink(item.path)
+                elif rel in dirs:
+                    pending.append((rel + "/", item.path))
+                else:
+                    shutil.rmtree(item.path)
+    return files
+
+
+def stat_record(st: os.stat_result) -> list:
+    """The record of a placed file's stat, as a stamp holds it."""
+    return [st.st_ino, st.st_size, st.st_mtime_ns]
 
 
 def _listdir_or_empty(path: str) -> list:

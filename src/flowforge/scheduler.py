@@ -29,14 +29,15 @@ would reach the store. Stamps therefore record each placed file's
 under every policy, it checks every task's placed files against its
 stamp (checked_stamp): a changed file costs one hash, a blob it changed
 leaves the store, and its stamp goes, so the task re-executes; so does
-a member gone from a directory output. A stamp whose files were hashed
-and found unchanged is written again with their stat, so they are
-hashed once. The checked stamp travels with the task's action, so that
-placing its outputs leaves a file the check found to be its blob, and a
-stamp that records the same placement, as they are. A staged input is
-a link into the store as well; a task that writes one fails, and the
-producer's output that shared its inode leaves the workspace with the
-producer's stamp.
+a member gone from a directory output. A stamp whose files hashed
+unchanged is written again with their stat, so each is hashed once.
+The checked stamp travels with the task's action, and placing follows
+one rule for a file output and a directory member alike: a file whose
+record is its blob's stat stays, any other is linked, and a directory
+output loses only what its manifest lacks; a stamp that records the
+same placement is not written again. A staged input is a link into the
+store as well; a task that writes one fails, and the producer's output
+that shared its inode leaves the workspace with the producer's stamp.
 
 Policy semantics (per task):
   recompute  always Execute.
@@ -65,7 +66,7 @@ from stat import S_ISREG
 
 from . import provenance, runstate
 from .cache import (CacheEntry, CacheError, CacheStore, encode_record,
-                    read_entry, replace_file)
+                    read_entry, replace_file, stat_record)
 from .canon import file_digest
 from .executors import (OutputSpec, StagedInput, TaskSpec, artifact_present,
                         kill_live_groups)
@@ -250,7 +251,7 @@ def checked_stamp(task: TaskInstance, cache: CacheStore, workspace: str,
                 # directory output that lost a member has changed
                 changed |= member is not None
                 continue
-            record[rel] = _record(st)
+            record[rel] = stat_record(st)
             if placed.get(rel) == record[rel] and st.st_mtime_ns < stamp.written_ns:
                 continue
             if member is not None and members is None:
@@ -281,11 +282,6 @@ def checked_stamp(task: TaskInstance, cache: CacheStore, workspace: str,
         with contextlib.suppress(OSError):
             write_stamp(workspace, task.id, stamp, record)
     return (None if changed else replace(stamp, placed=record)), gone
-
-
-def _record(st: os.stat_result) -> list:
-    """The record of a placed file's stat, as Stamp.placed holds it."""
-    return [st.st_ino, st.st_size, st.st_mtime_ns]
 
 
 def _tree_members(cache: CacheStore, digest: str) -> dict:
@@ -629,17 +625,16 @@ class Runner:
     def _materialize_input(self, port: str, binding: Blob, workdir: str):
         """Stage an input under workdir. Returns its relpath and, for
         each file staged, path -> (port, path within a directory input
-        or None, stat); a directory input gives each member the manifest
-        placed, so the sandbox is not walked again."""
+        or None, stat), as placing it found them, so the sandbox is not
+        walked again."""
         rel = "inputs/%s/%s" % (port, binding.name or binding.digest[:12])
         dest = os.path.join(workdir, rel.replace("/", os.sep))
         self._ingest_input(binding)
         if binding.tree:
             placed = self.cache.materialize_tree(binding.digest, dest).items()
         else:
-            self.cache.materialize_blob(binding.digest, dest)
-            placed = [(None, dest)]
-        return rel, {path: (port, member, os.stat(path)) for member, path in placed}
+            placed = [(None, (dest, self.cache.materialize_blob(binding.digest, dest)))]
+        return rel, {path: (port, member, st) for member, (path, st) in placed}
 
     def _execute_task(self, task: TaskInstance, fp: str, run_dir: str,
                       stamp: Stamp | None) -> TaskResult:
@@ -751,31 +746,28 @@ class Runner:
     def _link_outputs(self, task: TaskInstance, entry: CacheEntry,
                       stamp: Stamp | None):
         """Place the outputs `entry` records in the workspace, each file a
-        hard link to its blob, and write the task's stamp with the stat of
-        every file placed. What is in place already is left as it is: a
-        file output whose record in `stamp`, the task's checked stamp, is
-        its blob's stat, and a directory output that holds exactly its
-        members so linked (CacheStore.materialize_tree). Any other
-        directory at a directory output's path is replaced; a file output
-        replaces no directory. A stamp that records this entry and this
-        placement already is not written again."""
+        hard link to its blob, by the one rule of CacheStore.materialize_*:
+        a file output or directory member whose record in `stamp`, the
+        task's checked stamp, is its blob's stat is kept, and any other
+        linked; a directory output loses only what its manifest lacks. A
+        file output replaces no directory, nor a directory output a file
+        or symlink. The stamp records the stat of every file placed, and
+        one that records this entry and placement already is kept."""
         found = stamp.placed if stamp is not None else {}
         placed = {}  # workspace relpath -> stat record, as Stamp.placed
         for port, rel in sorted(task.file_output_paths.items()):
             dest = os.path.join(self.workspace, rel.replace("/", os.sep))
             digest = entry.file_outputs[port]
             if task.output_decls[port].type.kind == "directory":
-                files = [(rel + "/" + member, path) for member, path
-                         in self.cache.materialize_tree(digest, dest).items()]
-            elif rel in found and found[rel] == _record(
-                    os.stat(self.cache.blob_path(digest))):
-                placed[rel] = found[rel]  # the blob's inode is there already
-                continue
+                prefix = rel + "/"
+                members = self.cache.materialize_tree(digest, dest, {
+                    name[len(prefix):]: record for name, record in found.items()
+                    if name.startswith(prefix)})
+                placed.update((prefix + member, stat_record(st))
+                              for member, (_, st) in members.items())
             else:
-                self.cache.materialize_blob(digest, dest)
-                files = [(rel, dest)]
-            for name, path in files:
-                placed[name] = _record(os.lstat(path))
+                placed[rel] = stat_record(
+                    self.cache.materialize_blob(digest, dest, found.get(rel)))
         if stamp is None or stamp.placed != placed or stamp.to_data() != entry.to_data():
             write_stamp(self.workspace, task.id, entry, placed)
 

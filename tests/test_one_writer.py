@@ -1,9 +1,10 @@
 """Every small file the engine keeps is replaced through one writer,
 cache.replace_file, and CacheStore.put_blob alone installs blobs; each
 kind of JSON record has one parser; outputs reach the workspace by one
-path, the store's materialize_* calls, which alone link files. No
-linter is installed, so the checks are written here with the standard
-library, as in test_unused_imports.py."""
+path, the store's materialize_* calls, which alone link files and, in
+a directory output, remove what its manifest lacks. No linter is
+installed, so the checks are written here with the standard library,
+as in test_unused_imports.py."""
 
 import ast
 import os
@@ -19,6 +20,12 @@ RENAMERS = {("cache.py", "replace_file"), ("cache.py", "CacheStore.put_blob")}
 # (module path within the package, qualified function) that may make a
 # hard link: placing a blob, and adopting a task's output as one
 LINKERS = {("cache.py", "link_file"), ("cache.py", "CacheStore._adopt")}
+
+# (module path within the package, qualified function) that may remove
+# a tree: pruning a placed directory output, and emptying a remote job
+# directory before stage-in
+TREE_REMOVERS = {("cache.py", "_prune"),
+                 ("executors/remote.py", "LoopbackTransport.clear")}
 
 # (module path within the package, qualified function) that may parse
 # JSON: one per kind of record
@@ -115,3 +122,15 @@ def test_only_the_store_places_files():
     found = {(rel, site) for rel, tree in modules()
              for site in use_sites(tree, "os", ("link",))}
     assert found == LINKERS
+
+
+def test_only_the_store_removes_trees():
+    """A placed directory output loses what its manifest lacks in one
+    place, cache._prune; no other path of the engine rmtrees, so none
+    removes and places a directory output whole."""
+    assert use_sites(ast.parse(
+        "class A:\n    def f(self):\n        shutil.rmtree(p)\n"),
+        "shutil", ("rmtree",)) == ["A.f"]
+    found = {(rel, site) for rel, tree in modules()
+             for site in use_sites(tree, "shutil", ("rmtree",))}
+    assert found == TREE_REMOVERS

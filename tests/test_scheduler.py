@@ -1081,6 +1081,175 @@ def test_an_unchanged_link_run_leaves_the_workspace_as_it_was(tmp_path):
     assert_store_sealed(str(ws))
 
 
+class CountingStats(CountingOs):
+    """Stands in for `os` inside flowforge.cache and flowforge.scheduler:
+    counts the stat-family calls, DirEntry.stat of os.scandir's entries
+    included."""
+
+    WATCHED = ("stat", "lstat")
+
+    def __init__(self):
+        super().__init__()
+        self.calls["DirEntry.stat"] = []
+
+    def __getattr__(self, name):
+        if name != "scandir":
+            return super().__getattr__(name)
+        calls = self.calls["DirEntry.stat"]
+
+        class Entry:
+            def __init__(self, entry):
+                self.entry = entry
+
+            def __getattr__(self, attr):
+                return getattr(self.entry, attr)
+
+            def stat(self, **kwargs):
+                calls.append((False, (self.entry.path,)))
+                return self.entry.stat(**kwargs)
+
+        class Listing:
+            def __init__(self, *args):
+                self.listing = os.scandir(*args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.listing.close()
+
+            def __iter__(self):
+                return (Entry(entry) for entry in self.listing)
+        return Listing
+
+
+def test_an_unchanged_link_run_stats_each_placed_file_twice(tmp_path, monkeypatch):
+    """A link run over an unchanged workspace looks at each placed file
+    once, when its stamp is checked, and at its blob once, when placing
+    keeps it: no third stat of either, and none through a listing."""
+    ws = tmp_path / "ws"
+    graph = graph_for(tmp_path, file_and_wide_tree())
+    assert run_once(ws, graph, Policy.RECOMPUTE).ok
+    assert run_once(ws, graph, Policy.LINK).ok  # refreshes a stamp of its files' tick
+    placed = len(read_stamp(str(ws), "t").placed)
+    assert placed == 202
+    counting = CountingStats()
+    with monkeypatch.context() as patch:
+        patch.setattr(cache, "os", counting)
+        patch.setattr(scheduler, "os", counting)
+        assert run_once(ws, graph, Policy.LINK).counts == {"cached": 1}
+    calls = {name: len(made) for name, made in counting.calls.items()}
+    assert sum(calls.values()) <= 2 * placed + 4, calls
+
+
+class FileOperations:
+    """While active, records the (event, path) of each link, unlink,
+    mkdir, rmdir, rename and rmtree the process makes. Python keeps an
+    audit hook for the life of the process, so one hook is added, the
+    first time it is needed, and records for the active instance only."""
+
+    EVENTS = ("os.link", "os.remove", "os.mkdir", "os.rmdir", "os.rename",
+              "shutil.rmtree")
+    active = None  # the instance recording, if any
+    hooked = False
+
+    def __init__(self):
+        self.seen = []
+
+    def __enter__(self):
+        if not FileOperations.hooked:
+            sys.addaudithook(FileOperations.hook)
+            FileOperations.hooked = True
+        FileOperations.active = self
+        return self
+
+    def __exit__(self, *exc):
+        FileOperations.active = None
+
+    @staticmethod
+    def hook(event, args):
+        recorder = FileOperations.active
+        if recorder is not None and event in FileOperations.EVENTS:
+            path = args[1 if event == "os.link" else 0]
+            recorder.seen.append((event, os.fsdecode(path)))
+
+    def under(self, ws) -> list:
+        """Those made under the workspace `ws`, outside runs/."""
+        root = os.path.join(str(ws), "")
+        return [(event, path) for event, path in self.seen
+                if path.startswith(root) and not path.startswith(root + "runs" + os.sep)]
+
+
+def wide_tree_with_param(n=201, changed=4):
+    """`t` writes a directory of n members; the first `changed` hold the
+    param `k`."""
+    return {
+        "name": "wide-param",
+        "params": {"k": {"type": "string", "default": "a"}},
+        "processes": [{
+            "id": "t",
+            "command": ["sh", "-c", "mkdir {outputs.d}; for i in $(seq %d); do"
+                        " if [ $i -le %d ]; then echo $i-{inputs.k}; else echo $i; fi"
+                        " > {outputs.d}/m$i; done" % (n, changed)],
+            "inputs": {"k": {"type": "string", "from": "params.k"}},
+            "outputs": {"d": {"type": "directory", "path": "d"}}}],
+        "outputs": {"d": "t.d"},
+    }
+
+
+def test_a_link_run_replaces_only_the_members_that_differ(tmp_path):
+    """Linking a result whose directory differs from the placed one in 4
+    of 201 members relinks those 4 and nothing else: the directory and
+    every other member keep their inode and change time, and no
+    directory is made or removed."""
+    ws = tmp_path / "ws"
+    for k in ("a", "b"):
+        assert run_once(ws, graph_for(tmp_path, wide_tree_with_param(), {"k": k}),
+                        Policy.RECOMPUTE).ok
+    d = ws / "d"
+    before = {name: os.lstat(d / name) for name in os.listdir(d)}
+    inode = os.lstat(d).st_ino
+    with FileOperations() as recorded:
+        result = run_once(ws, graph_for(tmp_path, wide_tree_with_param(), {"k": "a"}),
+                          Policy.LINK)
+    assert result.counts == {"cached": 1}
+    ops = recorded.under(ws)
+    changed = {str(d / ("m%d" % i)) for i in range(1, 5)}
+    assert {path for event, path in ops if event == "os.link"} == changed
+    assert sorted(path for event, path in ops if event == "os.remove") == sorted(changed)
+    assert [op for op in ops if op[0] in ("os.mkdir", "os.rmdir", "shutil.rmtree")] == []
+    assert os.lstat(d).st_ino == inode
+    assert sorted(os.listdir(d)) == sorted(before)
+    for name, st in before.items():
+        now = os.lstat(d / name)
+        assert ((now.st_ino, now.st_ctime_ns) == (st.st_ino, st.st_ctime_ns)) \
+            == (str(d / name) not in changed), name
+    assert (d / "m1").read_text() == "1-a\n"
+    assert_store_sealed(str(ws))
+
+
+def test_a_symlink_at_a_directory_outputs_path_fails_the_task(tmp_path):
+    """Placing a directory output follows no symlink at its path: the
+    task fails under every policy, and nothing under the symlink's
+    target is removed or linked."""
+    ws = tmp_path / "ws"
+    assert run_once(ws, graph_for(tmp_path, dir_chain()), Policy.UPDATE).ok
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    os.link(ws / "d" / "s" / "m", outside / "m")  # a hard link to a member's blob
+    (outside / "stray").write_text("mine\n")
+    shutil.rmtree(ws / "d")
+    os.symlink(outside, ws / "d")
+    before = workspace_state(str(outside))
+    for policy in (Policy.UPDATE, Policy.RECOMPUTE, Policy.LINK):
+        result = run_once(ws, graph_for(tmp_path, dir_chain()), policy)
+        assert result.states["d"].state == "failed"
+        assert "publishing outputs failed" in result.states["d"].error
+        assert os.path.islink(ws / "d")
+        assert workspace_state(str(outside)) == before
+    assert_blobs_match_names(str(ws))
+
+
 def add_file(d):
     (d / "extra").write_text("extra\n")
 
@@ -1112,9 +1281,33 @@ def file_to_copy(d):
     f.write_bytes(data)
 
 
+def member_dir_to_file(d):
+    shutil.rmtree(d / "s")
+    (d / "s").write_text("mine\n")
+
+
+def member_to_dir(d):
+    os.unlink(d / "top")
+    (d / "top").mkdir()
+    (d / "top" / "x").write_text("mine\n")
+
+
+def member_dir_to_symlink(d):
+    """`s` becomes a symlink to an outside directory that holds a hard
+    link to s/m's blob, so the stamp check, which follows it, finds s/m
+    to be its blob; placing removes the symlink, and with it s/m."""
+    outside = d.parent.parent / "outside"
+    outside.mkdir()
+    os.link(d / "s" / "m", outside / "m")
+    shutil.rmtree(d / "s")
+    os.symlink(outside, d / "s")
+
+
 @pytest.mark.parametrize("policy", [Policy.LINK, Policy.RECOMPUTE])
 @pytest.mark.parametrize("change", [add_file, add_empty_dir, member_to_symlink,
-                                    delete_member, member_to_copy, file_to_copy])
+                                    delete_member, member_to_copy, file_to_copy,
+                                    member_dir_to_file, member_to_dir,
+                                    member_dir_to_symlink])
 def test_placing_keeps_only_outputs_that_are_their_blobs(tmp_path, change, policy):
     """However a placed output was changed, placing it again leaves
     exactly what removing it and placing it anew gives: the directory
