@@ -36,15 +36,16 @@ write that misses them, not checked before each write. Directory outputs
 are stored as a tree-manifest blob (canonical bytes, own digest) plus
 one blob per member file. Placing (materialize_*) has one rule for a
 file output and a directory member alike: keep a file whose stat record
-from the stamp check (stat_record) is its blob's stat, hard-link any
-other (link_file), and first remove from a directory output only what
-its manifest lacks (_prune). gc keeps the entries of kept runs, the
-inputs those runs recorded and every blob either references; it reads
-the 13-byte head of each kept blob and only tree manifests whole, so its
-memory does not grow with output size. It unlinks a blob without making
-it writable, since a placed output may share its inode. It holds an
-flock on cache/gc.lock while it runs and refuses to start when another
-gc holds it; the file stays, and one left by a killed gc holds no lock.
+from the stamp check (stat_record) is its blob's stat, and hard-link any
+other (link_file); a directory output first loses what scan_tree, the
+one reading of it the check also makes, finds beside its members
+(_prune). gc keeps the entries of kept runs, the inputs those runs
+recorded and every blob either references; it reads the 13-byte head of
+each kept blob and only tree manifests whole, so its memory does not
+grow with output size. It unlinks a blob without making it writable,
+since a placed output may share its inode. It holds an flock on
+cache/gc.lock while it runs and refuses to start when another gc holds
+it; the file stays, and one left by a killed gc holds no lock.
 """
 
 from __future__ import annotations
@@ -255,16 +256,15 @@ class CacheStore:
         """Make dest hold a stored directory and nothing else: remove
         what the manifest lacks (_prune), then place each member as
         materialize_blob does, with its record in `found` (member relpath
-        -> stat_record) only when the prune saw a file there, as a path
-        the prune removed voids it. Returns member relpath -> (path,
+        -> stat_record), which the stamp check took from the same scan
+        of a directory it found exact. Returns member relpath -> (path,
         stat) of each file placed."""
         entries = self.read_tree_manifest(digest)["entries"]
-        seen, found = _prune(dest, entries), found or {}
-        placed = {}
+        _prune(dest, entries)
+        found, placed = found or {}, {}
         for rel, member in entries.items():
             path = os.path.join(dest, rel.replace("/", os.sep))
-            placed[rel] = path, self.materialize_blob(
-                member, path, found.get(rel) if rel in seen else None)
+            placed[rel] = path, self.materialize_blob(member, path, found.get(rel))
         return placed
 
     # -- task entries -----------------------------------------------------
@@ -453,35 +453,42 @@ def link_file(src: str, dest: str) -> bool:
         return False
 
 
-def _prune(root: str, entries: dict) -> set:
-    """Remove from the directory `root` what the tree `entries` lacks:
-    every file, symlink or directory that is neither a member's regular
-    file nor a directory on a member's path. Makes `root` when nothing
-    is there. Returns the members seen as regular files. Follows no
-    symlink: one at `root` raises NotADirectoryError, as a file does."""
-    try:
-        if not stat.S_ISDIR(os.lstat(root).st_mode):
-            raise NotADirectoryError("not a directory: %s" % root)
-    except FileNotFoundError:
-        os.makedirs(root)
-        return set()
-    dirs = {rel.rsplit("/", i)[0] for rel in entries
-            for i in range(1, rel.count("/") + 1)}  # those members sit in
-    files, pending = set(), [("", root)]
+def scan_tree(root: str, members) -> tuple[dict, list]:
+    """The one reading of a placed directory, following no symlink:
+    member -> DirEntry of each regular file at a relpath in `members`,
+    and the DirEntry of all else but a directory on a member's path. A
+    symlink or a file at `root` raises NotADirectoryError."""
+    if not stat.S_ISDIR(os.lstat(root).st_mode):
+        raise NotADirectoryError("not a directory: %s" % root)
+    found, others, dirs, pending = {}, [], None, [("", root)]
     while pending:
         prefix, path = pending.pop()
         with os.scandir(path) as listing:
             for item in listing:
                 rel = prefix + item.name
-                if rel in entries and item.is_file(follow_symlinks=False):
-                    files.add(rel)
-                elif not item.is_dir(follow_symlinks=False):
-                    os.unlink(item.path)
-                elif rel in dirs:
-                    pending.append((rel + "/", item.path))
-                else:
-                    shutil.rmtree(item.path)
-    return files
+                if rel in members and item.is_file(follow_symlinks=False):
+                    found[rel] = item
+                    continue
+                if item.is_dir(follow_symlinks=False):
+                    if dirs is None:  # those members sit in, once one is met
+                        dirs = {m.rsplit("/", i)[0] for m in members
+                                for i in range(1, m.count("/") + 1)}
+                    if rel in dirs:
+                        pending.append((rel + "/", item.path))
+                        continue
+                others.append(item)
+    return found, others
+
+
+def _prune(root: str, entries: dict):
+    """Remove all that scan_tree finds in `root` beside the tree `entries`."""
+    try:
+        others = scan_tree(root, entries)[1]
+    except FileNotFoundError:  # nothing is there
+        os.makedirs(root)
+        return
+    for item in others:
+        (shutil.rmtree if item.is_dir(follow_symlinks=False) else os.unlink)(item.path)
 
 
 def stat_record(st: os.stat_result) -> list:

@@ -22,22 +22,22 @@ each blocking wait. A task runs in a process group of its own; a run
 that leaves by an exception, Ctrl-C included, kills the groups still
 running.
 
-A placed file output is a read-only hard link to its blob, and so is
-the file the task produced (the store adopts it), so an edit in place
-would reach the store. Stamps therefore record each placed file's
-(st_ino, st_size, st_mtime_ns), and before the walk decides any task,
-under every policy, it checks every task's placed files against its
-stamp (checked_stamp): a changed file costs one hash, a blob it changed
-leaves the store, and its stamp goes, so the task re-executes; so does
-a member gone from a directory output. A stamp whose files hashed
-unchanged is written again with their stat, so each is hashed once.
-The checked stamp travels with the task's action, and placing follows
-one rule for a file output and a directory member alike: a file whose
-record is its blob's stat stays, any other is linked, and a directory
-output loses only what its manifest lacks; a stamp that records the
-same placement is not written again. A staged input is a link into the
-store as well; a task that writes one fails, and the producer's output
-that shared its inode leaves the workspace with the producer's stamp.
+A placed file output is a read-only hard link to its blob, and so is the
+file the task produced (the store adopts it), so an edit in place would
+reach the store. Stamps therefore record each placed file's (st_ino,
+st_size, st_mtime_ns), and before the walk decides any task, under every
+policy, it checks every task's placed outputs against its stamp
+(checked_stamp), reading a directory output as placing does
+(cache.scan_tree). One rule holds for every output: one that is gone, or
+holds anything placing would remove, has changed. A changed file costs
+one hash, a blob it changed leaves the store, and the stamp goes, so the
+task re-executes; a stamp whose files hashed unchanged is written again
+with their stat. The checked stamp travels with the task's action:
+placing keeps a file whose record is its blob's stat and links any
+other, and a stamp that records the same placement is not written again.
+A staged input is a link into the store as well; a task that writes one
+fails, and the producer's output that shared its inode leaves the
+workspace with the producer's stamp.
 
 Policy semantics (per task):
   recompute  always Execute.
@@ -66,7 +66,7 @@ from stat import S_ISREG
 
 from . import provenance, runstate
 from .cache import (CacheEntry, CacheError, CacheStore, encode_record,
-                    read_entry, replace_file, stat_record)
+                    read_entry, replace_file, scan_tree, stat_record)
 from .canon import file_digest
 from .executors import (OutputSpec, StagedInput, TaskSpec, artifact_present,
                         kill_live_groups)
@@ -204,53 +204,51 @@ def write_stamp(workspace: str, task_id: str, entry: CacheEntry, placed=None):
 def checked_stamp(task: TaskInstance, cache: CacheStore, workspace: str,
                   dry: bool = False) -> tuple[Stamp | None, set[str]]:
     """The task's stamp, or None when it has none, when it does not name
-    every output the task declares, or when a file it placed has changed
+    every output the task declares, or when a placed output has changed
     since; and the digests of the blobs changed with it.
 
-    A placed file whose stat moved from the stamp's record, or whose
-    mtime is not older than the stamp (the tick in which the stamp was
-    written may hide a later edit: git's "racy" rule), or that the stamp
-    has no record of, is hashed; one that cannot be read counts as
-    changed. If its bytes are not those of the blob the stamp names and
-    it shares that blob's inode, it changed the blob: the blob leaves the
-    store, with the tree that holds it, so entries naming them become
-    misses. Either way the stamp goes, and the task re-executes; so it
-    does when a directory output lost a member the stamp names. A
-    missing file output is left to the policy (artifact_present). When
-    every file hashed still holds its bytes, the stamp is written again
-    with their stat as it is now, as git refreshes its index, so they
-    are not hashed again. The stamp returned holds in `placed` the stat
-    of each placed file the check found, as it found it. With `dry`,
-    nothing on disk changes."""
+    A file output is lstat'ed, and a directory output read by
+    cache.scan_tree against the members the stamp records (its
+    manifest's when it records none), as placing reads it: an output
+    gone, or holding anything placing would remove, has changed. A
+    placed file whose stat moved from the stamp's record, or whose mtime
+    is not older than the stamp (git's "racy" rule: the stamp's own tick
+    may hide a later edit), or that the stamp has no record of, is
+    hashed; one that cannot be read has changed. If its bytes are not
+    its blob's and it shares the blob's inode, the blob leaves the store
+    with the tree that holds it, so entries naming them become misses.
+    Either way the stamp goes, and the task re-executes. When every file
+    hashed holds its bytes, the stamp is written again with their stat,
+    as git refreshes its index, so they are not hashed again. The stamp
+    returned holds in `placed` the stat of each placed file as the check
+    found it. With `dry`, nothing on disk changes."""
     stamp = read_stamp(workspace, task.id)
     if stamp is None or not _names_every_output(task, stamp):
         return None, set()
     placed = stamp.placed
-    base = os.path.join(workspace, "")
     changed, hashed, gone = False, False, set()
     record = {}  # workspace relpath -> the stat record of the file now
     for port, decl in task.output_decls.items():
         if decl.path is None:
             continue
         digest = stamp.file_outputs[port]
+        path = os.path.join(workspace, decl.path.replace("/", os.sep))
         members = None  # the tree's member -> digest, read once needed
-        if decl.type.kind != "directory":
-            files = {decl.path: None}  # workspace relpath -> member
-        else:
-            prefix = decl.path + "/"
-            files = {rel: rel[len(prefix):] for rel in placed if rel.startswith(prefix)}
-            if not files:
-                members = _tree_members(cache, digest)
-                files = {prefix + member: member for member in members}
-        for rel, member in files.items():
-            path = base + rel.replace("/", os.sep)
-            try:
-                st = os.lstat(path)
-            except OSError:
-                # a missing file output is remade, not checked; a
-                # directory output that lost a member has changed
-                changed |= member is not None
-                continue
+        try:
+            if decl.type.kind != "directory":
+                files = [(decl.path, None, path, os.lstat(path))]
+            else:
+                prefix = decl.path + "/"
+                names = {rel[len(prefix):] for rel in placed
+                         if rel.startswith(prefix)} or _tree_members(cache, digest)
+                found, others = scan_tree(path, names)
+                changed |= bool(others) or len(found) < len(names)
+                files = [(prefix + m, m, e.path, e.stat(follow_symlinks=False))
+                         for m, e in found.items()]
+        except OSError:  # gone, or no directory
+            changed = True
+            continue
+        for rel, member, path, st in files:
             record[rel] = stat_record(st)
             if placed.get(rel) == record[rel] and st.st_mtime_ns < stamp.written_ns:
                 continue
@@ -696,14 +694,14 @@ class Runner:
     def _rewritten_input(self, task: TaskInstance, before: dict) -> str | None:
         """An error naming the first input whose staged bytes the task
         changed, or None; only files whose size or mtime moved are
-        rehashed. A changed blob leaves the store with the tree that
-        holds it, so entries that name them become misses. When the
-        staged file is also the producer's workspace output (both linked
-        from the store, as every placed output is), that output changed
-        too, and the bytes the producer placed exist nowhere now: the
-        output leaves the workspace with the producer's stamp, so that no
-        stamp claims the task's bytes and the next update re-executes
-        the producer."""
+        rehashed. A blob whose inode the staged file still shares leaves
+        the store with the tree that holds it, so entries that name them
+        become misses. When the staged file is also the producer's
+        workspace output (both linked from the store, as every placed
+        output is), that output changed too, and the bytes the producer
+        placed exist nowhere now: the output leaves the workspace with
+        the producer's stamp, so that no stamp claims the task's bytes
+        and the next update re-executes the producer."""
         for path, (port, member, stat) in sorted(before.items()):
             try:
                 now = os.stat(path)
@@ -715,9 +713,10 @@ class Runner:
             digest = binding.digest if member is None else \
                 self.cache.read_tree_manifest(binding.digest)["entries"][member]
             if file_digest(path) != digest:
-                for name in {digest, binding.digest}:
-                    with contextlib.suppress(FileNotFoundError):
-                        os.unlink(self.cache.blob_path(name))
+                with contextlib.suppress(FileNotFoundError):
+                    if os.path.samestat(now, os.stat(self.cache.blob_path(digest))):
+                        for name in dict.fromkeys((digest, binding.digest)):
+                            os.unlink(self.cache.blob_path(name))
                 producer = split_ref(task.input_sources[port])[0]
                 if producer in task.deps:
                     output = binding.source if member is None else os.path.join(
@@ -745,13 +744,12 @@ class Runner:
 
     def _link_outputs(self, task: TaskInstance, entry: CacheEntry,
                       stamp: Stamp | None):
-        """Place the outputs `entry` records in the workspace, each file a
-        hard link to its blob, by the one rule of CacheStore.materialize_*:
-        a file output or directory member whose record in `stamp`, the
-        task's checked stamp, is its blob's stat is kept, and any other
-        linked; a directory output loses only what its manifest lacks. A
-        file output replaces no directory, nor a directory output a file
-        or symlink. The stamp records the stat of every file placed, and
+        """Place the outputs `entry` records in the workspace, each file
+        a hard link to its blob, by the one rule of
+        CacheStore.materialize_*, which keeps a file whose record in
+        `stamp`, the task's checked stamp, is its blob's stat. A file
+        output replaces no directory, nor a directory output a file or
+        symlink. The stamp records the stat of every file placed, and
         one that records this entry and placement already is kept."""
         found = stamp.placed if stamp is not None else {}
         placed = {}  # workspace relpath -> stat record, as Stamp.placed

@@ -2,7 +2,8 @@
 cache.replace_file, and CacheStore.put_blob alone installs blobs; each
 kind of JSON record has one parser; outputs reach the workspace by one
 path, the store's materialize_* calls, which alone link files and, in
-a directory output, remove what its manifest lacks. No linter is
+a directory output, remove what its manifest lacks; and a placed
+directory is read one way, by cache.scan_tree. No linter is
 installed, so the checks are written here with the standard library,
 as in test_unused_imports.py."""
 
@@ -26,6 +27,11 @@ LINKERS = {("cache.py", "link_file"), ("cache.py", "CacheStore._adopt")}
 # directory before stage-in
 TREE_REMOVERS = {("cache.py", "_prune"),
                  ("executors/remote.py", "LoopbackTransport.clear")}
+
+# (module path within the package, qualified function) that may list a
+# directory: the one reading of a placed directory output, which the
+# stamp check and placing share
+SCANNERS = {("cache.py", "scan_tree")}
 
 # (module path within the package, qualified function) that may parse
 # JSON: one per kind of record
@@ -134,3 +140,13 @@ def test_only_the_store_removes_trees():
     found = {(rel, site) for rel, tree in modules()
              for site in use_sites(tree, "shutil", ("rmtree",))}
     assert found == TREE_REMOVERS
+
+
+def test_only_scan_tree_reads_a_placed_directory():
+    """os.scandir appears in cache.scan_tree alone, so the stamp check
+    and placing cannot read a placed directory output two ways."""
+    assert use_sites(ast.parse("def f():\n    return os.scandir(p)\n"),
+                     "os", ("scandir",)) == ["f"]
+    found = {(rel, site) for rel, tree in modules()
+             for site in use_sites(tree, "os", ("scandir",))}
+    assert found == SCANNERS

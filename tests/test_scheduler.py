@@ -683,6 +683,25 @@ def test_task_cannot_poison_the_store_through_its_input(tmp_path, kind):
     assert_store_sealed(str(ws))
 
 
+def test_a_task_that_replaces_its_input_leaves_the_blob(tmp_path):
+    """A task that removes its staged input and writes a new file there
+    still fails, but the blob it was staged from is intact: it stays in
+    the store, so the producer's output and entry stay valid."""
+    doc = reader_chain()
+    doc["processes"][1]["command"] = [
+        "sh", "-c", "cat {inputs.x} > {outputs.o}; rm -f {inputs.x};"
+        " echo other > {inputs.x}"]
+    ws = tmp_path / "ws"
+    result = run_once(ws, graph_for(tmp_path, doc), Policy.UPDATE)
+    assert result.states["a"].state == "succeeded"
+    assert result.states["b"].state == "failed"
+    assert "ModifiedInput(x)" in result.states["b"].error
+    assert (ws / "a.txt").read_text() == "hi\n"
+    assert_store_sealed(str(ws))
+    preview = Runner(str(ws)).plan_preview(graph_for(tmp_path, doc), Policy.LINK)
+    assert preview["a"].kind == "link"
+
+
 class CountingOs:
     """Stands in for `os` inside flowforge.cache: counts the calls that
     set the per-member cost of moving a directory through the engine."""
@@ -1142,6 +1161,26 @@ def test_an_unchanged_link_run_stats_each_placed_file_twice(tmp_path, monkeypatc
     assert sum(calls.values()) <= 2 * placed + 4, calls
 
 
+def test_an_unchanged_update_run_stats_each_placed_file_once(tmp_path, monkeypatch):
+    """An update run over an unchanged workspace looks at each placed
+    file once, through the scan of its directory output or the lstat of
+    a file output, and besides at each directory output's own path and
+    the stamp."""
+    ws = tmp_path / "ws"
+    graph = graph_for(tmp_path, file_and_wide_tree())
+    assert run_once(ws, graph, Policy.RECOMPUTE).ok
+    assert run_once(ws, graph, Policy.LINK).ok  # refreshes a stamp of its files' tick
+    placed = len(read_stamp(str(ws), "t").placed)
+    assert placed == 202
+    counting = CountingStats()
+    with monkeypatch.context() as patch:
+        patch.setattr(cache, "os", counting)
+        patch.setattr(scheduler, "os", counting)
+        assert run_once(ws, graph, Policy.UPDATE).counts == {"skipped-up-to-date": 1}
+    calls = {name: len(made) for name, made in counting.calls.items()}
+    assert sum(calls.values()) <= placed + 1 + 1, calls
+
+
 class FileOperations:
     """While active, records the (event, path) of each link, unlink,
     mkdir, rmdir, rename and rmtree the process makes. Python keeps an
@@ -1346,6 +1385,45 @@ def test_a_directory_output_that_lost_a_member_is_placed_again(tmp_path, policy)
     assert started == (["t"] if policy == Policy.UPDATE else [])
     assert {t for t, a in preview.items() if a.is_execute} == set(started)
     assert (ws / "d" / "top").read_text() == "top\n"
+    assert_store_sealed(str(ws))
+
+
+def dir_to_symlink(d):
+    """`d` becomes a symlink to an outside directory that holds a hard
+    link to each member's blob, each at its member's path."""
+    outside = d.parent.parent / "outside"
+    shutil.copytree(d, outside, copy_function=os.link)
+    shutil.rmtree(d)
+    os.symlink(outside, d)
+
+
+@pytest.mark.parametrize("change", [add_file, add_empty_dir, member_dir_to_symlink,
+                                    dir_to_symlink])
+def test_update_executes_a_task_whose_directory_output_placing_would_change(
+        tmp_path, change):
+    """A directory output that holds anything placing would remove has
+    changed, as one that lost a member has: update executes its task,
+    and its preview says so. Then the directory holds exactly the
+    manifest's members, each a link to its blob; at a symlink the task
+    fails, as it does under every policy."""
+    ws = tmp_path / "ws"
+    graph = graph_for(tmp_path, file_and_tree())
+    assert run_once(ws, graph, Policy.UPDATE).ok
+    change(ws / "d")
+    assert Runner(str(ws)).plan_preview(graph, Policy.UPDATE)["t"].kind == "execute"
+    result = run_once(ws, graph, Policy.UPDATE)
+    assert started_tasks(read_journal(str(ws), result.run_id)) == ["t"]
+    if change is dir_to_symlink:
+        assert result.states["t"].state == "failed"
+        assert "publishing outputs failed" in result.states["t"].error
+        assert os.path.islink(ws / "d")
+        return
+    assert result.ok
+    store = CacheStore(str(ws / "cache"))
+    stamp = read_stamp(str(ws), "t")
+    members = store.read_tree_manifest(stamp.file_outputs["d"])["entries"]
+    assert sorted(p.relative_to(ws / "d").as_posix() for p in (ws / "d").rglob("*")) \
+        == sorted(set(members) | {"s"})
     assert_store_sealed(str(ws))
 
 
