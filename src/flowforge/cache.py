@@ -37,15 +37,16 @@ are stored as a tree-manifest blob (canonical bytes, own digest) plus
 one blob per member file. Placing (materialize_*) has one rule for a
 file output and a directory member alike: keep a file whose stat record
 from the stamp check (stat_record) is its blob's stat, and hard-link any
-other (link_file); a directory output first loses what scan_tree, the
-one reading of it the check also makes, finds beside its members
-(_prune). gc keeps the entries of kept runs, the inputs those runs
-recorded and every blob either references; it reads the 13-byte head of
-each kept blob and only tree manifests whole, so its memory does not
-grow with output size. It unlinks a blob without making it writable,
-since a placed output may share its inode. It holds an flock on
-cache/gc.lock while it runs and refuses to start when another gc holds
-it; the file stays, and one left by a killed gc holds no lock.
+other (link_file); a directory output first loses what scan_tree finds
+beside its members (_prune), unless the stamp check's reading of it,
+made by scan_tree too, shows nothing there but files the manifest names.
+gc keeps the entries of kept runs, the inputs those runs recorded and
+every blob either references; it reads the 13-byte head of each kept
+blob and only tree manifests whole, so its memory does not grow with
+output size. It unlinks a blob without making it writable, since a
+placed output may share its inode. It holds an flock on cache/gc.lock
+while it runs and refuses to start when another gc holds it; the file
+stays, and one left by a killed gc holds no lock.
 """
 
 from __future__ import annotations
@@ -256,11 +257,13 @@ class CacheStore:
         """Make dest hold a stored directory and nothing else: remove
         what the manifest lacks (_prune), then place each member as
         materialize_blob does, with its record in `found` (member relpath
-        -> stat_record), which the stamp check took from the same scan
-        of a directory it found exact. Returns member relpath -> (path,
-        stat) of each file placed."""
+        -> stat_record). `found` is the stamp check's reading of dest,
+        which holds those files and nothing else; without one (None), or
+        with a file the manifest lacks, dest is scanned again to prune.
+        Returns member relpath -> (path, stat) of each file placed."""
         entries = self.read_tree_manifest(digest)["entries"]
-        _prune(dest, entries)
+        if found is None or not found.keys() <= entries.keys():
+            _prune(dest, entries)
         found, placed = found or {}, {}
         for rel, member in entries.items():
             path = os.path.join(dest, rel.replace("/", os.sep))
@@ -274,10 +277,8 @@ class CacheStore:
 
     def put_entry(self, entry: CacheEntry):
         """Store a task result. Last writer wins for equal fingerprints;
-        the outputs are by construction equivalent."""
-        for digest in entry.file_outputs.values():
-            if not self.has_blob(digest):
-                raise CacheError("entry references missing blob %s" % digest)
+        the outputs are by construction equivalent; get_entry checks
+        its blobs."""
         replace_file(self.entry_path(entry.fingerprint), entry.to_bytes())
 
     def get_entry(self, fingerprint: str) -> CacheEntry | None:

@@ -20,6 +20,8 @@ FORMAT_VERSION = 1
 ID_RE = re.compile(r"[A-Za-z0-9_-]+")  # an identifier, matched whole
 # `params` is the reserved source-reference namespace, never a process id.
 RESERVED_IDS = frozenset({"params"})
+# The engine's own state in a workspace, where no output path may lead.
+RESERVED_PATHS = frozenset({"cache", "runs", ".flowforge"})
 PLACEHOLDER_RE = re.compile(r"\{(inputs|outputs)\.(%s)\}" % ID_RE.pattern)
 
 VALUE_KINDS = frozenset({"string", "integer", "float", "boolean"})
@@ -435,6 +437,10 @@ def _parse_process(node, index) -> ProcessDef:
                 raise ParseError("output path must stay inside the workspace",
                                  where=pwhere)
             path = norm.replace(os.sep, "/")
+            if path.split("/")[0] in RESERVED_PATHS:
+                raise ParseError("output path must stay outside the engine's "
+                                 "state (%s)" % ", ".join(sorted(RESERVED_PATHS)),
+                                 where=pwhere)
         elif path is not None:
             raise ParseError("value outputs carry no path", where=pwhere)
         else:
@@ -840,5 +846,12 @@ def validate(wf: WorkflowDef, base_dir: str | None = None,
                 report.add("duplicate-output-path",
                            "path %r declared by both %s and %s"
                            % (out.path, owner, proc.id), proc.id)
+    for path, owner in seen_paths.items():
+        parts = path.split("/")
+        for outer in ("/".join(parts[:n]) for n in range(1, len(parts))):
+            if seen_paths.get(outer, owner) != owner:
+                report.add("duplicate-output-path", "path %r of %s lies inside "
+                           "path %r of %s" % (path, owner, outer, seen_paths[outer]),
+                           owner)
 
     return report

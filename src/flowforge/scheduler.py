@@ -27,24 +27,24 @@ file the task produced (the store adopts it), so an edit in place would
 reach the store. Stamps therefore record each placed file's (st_ino,
 st_size, st_mtime_ns), and before the walk decides any task, under every
 policy, it checks every task's placed outputs against its stamp
-(checked_stamp), reading a directory output as placing does
-(cache.scan_tree). One rule holds for every output: one that is gone, or
-holds anything placing would remove, has changed. A changed file costs
-one hash, a blob it changed leaves the store, and the stamp goes, so the
-task re-executes; a stamp whose files hashed unchanged is written again
-with their stat. The checked stamp travels with the task's action:
-placing keeps a file whose record is its blob's stat and links any
-other, and a stamp that records the same placement is not written again.
-A staged input is a link into the store as well; a task that writes one
-fails, and the producer's output that shared its inode leaves the
-workspace with the producer's stamp.
+(checked_stamp), reading a directory output by cache.scan_tree: the
+run's one reading of them. One that is gone, or holds anything placing
+would remove, has changed. A changed file costs one hash, a blob it
+changed leaves the store and no task links it, and the stamp goes, so
+the task re-executes; a stamp whose files hashed unchanged is written
+again with their stat. The checked stamp travels with the task's action
+until a link fails: update skips on it, and placing keeps a file whose
+record is its blob's stat and rescans a directory only for a file the
+manifest lacks. A staged input is a link into the store as well; a task
+that writes one fails, and the producer's output that shared its inode
+leaves the workspace with the producer's stamp.
 
 Policy semantics (per task):
   recompute  always Execute.
   link       LinkCached when the cache holds the fingerprint, else Execute.
-  update     SkipUpToDate when declared outputs exist in the workspace,
-             the stored stamp matches the current fingerprint, and no
-             dependency executed this run; else Execute. The "no
+  update     SkipUpToDate when the checked stamp, which proves every
+             declared output in place, holds the current fingerprint and
+             no dependency executed this run; else Execute. The "no
              dependency executed" clause makes the executed set exactly
              {fingerprint changed} plus downstream, the make-like
              reading of the update policy.
@@ -68,8 +68,7 @@ from . import provenance, runstate
 from .cache import (CacheEntry, CacheError, CacheStore, encode_record,
                     read_entry, replace_file, scan_tree, stat_record)
 from .canon import file_digest
-from .executors import (OutputSpec, StagedInput, TaskSpec, artifact_present,
-                        kill_live_groups)
+from .executors import OutputSpec, StagedInput, TaskSpec, kill_live_groups
 from .executors.local import LocalExecutor
 from .model import env_to_data, param_ref, split_ref
 from .planner import (
@@ -297,12 +296,11 @@ def _names_every_output(task: TaskInstance, entry: CacheEntry) -> bool:
 
 
 def decide_action(task: TaskInstance, policy: Policy, cache: CacheStore,
-                  workspace: str, fingerprint: str | None = None,
-                  stamp: Stamp | None = None) -> TaskAction:
+                  fingerprint: str | None = None, stamp: Stamp | None = None) -> TaskAction:
     """Per-task policy decision. Requires resolved bindings (the
-    fingerprint must be computable). `stamp` is the task's stamp as
-    checked_stamp returns it: update reads it, and an execute carries it.
-    Cache corruption counts as a miss; the cache layer warns."""
+    fingerprint must be computable). `stamp` is the task's checked
+    stamp: update skips on it alone, and an execute carries it. Cache
+    corruption counts as a miss; the cache layer warns."""
     if policy == Policy.RECOMPUTE:
         return TaskAction("execute", fingerprint, stamp)
     fp = fingerprint or task_fingerprint(task)
@@ -310,9 +308,7 @@ def decide_action(task: TaskInstance, policy: Policy, cache: CacheStore,
         entry = cache.get_entry(fp)
         if entry is not None and _names_every_output(task, entry):
             return TaskAction("link", fp, stamp, entry)
-    elif stamp is not None and stamp.fingerprint == fp \
-            and all(artifact_present(workspace, decl)
-                    for decl in task.output_decls.values() if decl.path is not None):
+    elif stamp is not None and stamp.fingerprint == fp:
         return TaskAction("skip", fp, stamp)
     return TaskAction("execute", fp, stamp)
 
@@ -343,7 +339,7 @@ class _Walk:
 
     def __init__(self, runner: "Runner", graph: TaskGraph, policy: Policy,
                  dry: bool = False):
-        self.runner, self.graph, self.policy, self.dry = runner, graph, policy, dry
+        self.runner, self.graph, self.policy = runner, graph, policy
         self.results: dict[str, TaskResult] = {}
         self.children = graph.children()
         self.waiting = {tid: len(task.deps) for tid, task in graph.tasks.items()}
@@ -377,11 +373,10 @@ class _Walk:
             if self.policy == Policy.UPDATE and task.deps & self.executed:
                 action = TaskAction("execute", fp, stamp)
             else:
-                action = decide_action(resolved, self.policy, self.runner.cache,
-                                       self.runner.workspace, fp, stamp)
-            if self.dry and action.kind == "link" \
+                action = decide_action(resolved, self.policy, self.runner.cache, fp, stamp)
+            if action.kind == "link" \
                     and self.gone.intersection(action.entry.file_outputs.values()):
-                action = TaskAction("execute", fp, stamp)  # a run drops those blobs
+                action = TaskAction("execute", fp, stamp)  # an edit changed them
         if action.is_execute:
             self.executed.add(task.id)
         return task, resolved, action
@@ -474,6 +469,8 @@ class Runner:
                         except (CacheError, OSError) as exc:
                             log.warning("task %s cannot be linked, executing "
                                         "it instead: %s", tid, exc)
+                            # what it placed voids the check's reading
+                            action = replace(action, stamp=None)
                             heapq.heappush(runnable, (tid, resolved, action))
                             continue
                         linked = _settled_result(action, action.entry)
@@ -746,11 +743,11 @@ class Runner:
                       stamp: Stamp | None):
         """Place the outputs `entry` records in the workspace, each file
         a hard link to its blob, by the one rule of
-        CacheStore.materialize_*, which keeps a file whose record in
-        `stamp`, the task's checked stamp, is its blob's stat. A file
-        output replaces no directory, nor a directory output a file or
-        symlink. The stamp records the stat of every file placed, and
-        one that records this entry and placement already is kept."""
+        CacheStore.materialize_*, trusting the reading of `stamp`, the
+        task's checked stamp, or None. A file output replaces no
+        directory, nor a directory output a file or symlink. The stamp
+        records the stat of every file placed, and one that records this
+        entry and placement already is kept."""
         found = stamp.placed if stamp is not None else {}
         placed = {}  # workspace relpath -> stat record, as Stamp.placed
         for port, rel in sorted(task.file_output_paths.items()):
@@ -758,9 +755,10 @@ class Runner:
             digest = entry.file_outputs[port]
             if task.output_decls[port].type.kind == "directory":
                 prefix = rel + "/"
-                members = self.cache.materialize_tree(digest, dest, {
+                records = None if stamp is None else {
                     name[len(prefix):]: record for name, record in found.items()
-                    if name.startswith(prefix)})
+                    if name.startswith(prefix)}
+                members = self.cache.materialize_tree(digest, dest, records)
                 placed.update((prefix + member, stat_record(st))
                               for member, (_, st) in members.items())
             else:

@@ -22,7 +22,8 @@ def test_validate_ok():
 
 @pytest.mark.parametrize("name", [
     "cycle.wf", "dangling.wf", "dup_id.wf",
-    "mismatch_value.wf", "mismatch_format.wf"])
+    "mismatch_value.wf", "mismatch_format.wf", "nested_output.wf",
+    "reserved_cache.wf", "reserved_runs.wf", "reserved_state.wf"])
 def test_validate_negative_exits_2(name):
     proc = cli("validate", os.path.join(NEGATIVE_DIR, name))
     assert proc.returncode == 2

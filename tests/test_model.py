@@ -4,6 +4,7 @@ import json
 import os
 import re
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -153,6 +154,12 @@ def test_the_documented_identifier_rule_is_the_code_rule():
      "inside the workspace"),
     (lambda d: d["processes"][0]["outputs"]["mesh"].update(path="/abs"),
      "inside the workspace"),
+    (lambda d: d["processes"][0]["outputs"]["mesh"].update(path="./cache"),
+     "outside the engine's state"),
+    (lambda d: d["processes"][0]["outputs"]["mesh"].update(path="runs/r1/m"),
+     "outside the engine's state"),
+    (lambda d: d["processes"][0]["outputs"]["mesh"].update(path=".flowforge/stamps/a"),
+     "outside the engine's state"),
     (lambda d: d["processes"][0]["inputs"]["size"].pop("from"), "from"),
     (lambda d: d["processes"][0]["command"].append("{inputs.nope}"),
      "undeclared"),
@@ -466,6 +473,25 @@ def test_validate_duplicate_output_path():
         ]}))
     report = validate(wf)
     assert "duplicate-output-path" in codes(report)
+
+
+@pytest.mark.parametrize("order", ["outer first", "inner first"])
+def test_validate_output_path_inside_another_process_output(order):
+    """No task places a file inside another task's output, whichever
+    process is declared first; one process may nest its own outputs."""
+    wf = read_negative("nested_output.wf")
+    if order == "inner first":
+        wf = replace(wf, processes=wf.processes[::-1])
+    report = validate(wf, NEGATIVE_DIR)
+    assert [(f.code, f.where) for f in report.findings] == [
+        ("duplicate-output-path", "b")], report.render()
+    own = parse_workflow(json.dumps({
+        "name": "own",
+        "processes": [{"id": "a", "command": ["true"], "outputs": {
+            "d": {"type": "directory", "path": "d"},
+            "x": {"type": "file", "path": "d/x.txt"},
+            "y": {"type": "file", "path": "dx.txt"}}}]}))
+    assert validate(own).ok
 
 
 def test_validate_missing_recipe(tmp_path):

@@ -16,8 +16,8 @@ from flowforge.cache import CacheEntry, CacheError, CacheStore
 from flowforge.model import WorkflowLoader, flatten, parse_workflow
 from flowforge.planner import Blob, Literal, build_graph, task_fingerprint
 from flowforge.scheduler import (EXECUTE, Policy, Runner, SchedulerError,
-                                 decide_action, generate_run_id, read_stamp,
-                                 stamp_path, write_stamp)
+                                 checked_stamp, decide_action, generate_run_id,
+                                 read_stamp, stamp_path, write_stamp)
 from flowforge.runstate import read_events
 
 from conftest import (USECASE_DIR, assert_blobs_match_names, assert_store_sealed,
@@ -332,21 +332,21 @@ def test_decide_action_matrix(tmp_path):
     task = resolved_task(tmp_path)
     fp = task_fingerprint(task)
 
-    assert decide_action(task, Policy.RECOMPUTE, cache, ws) == EXECUTE
+    assert decide_action(task, Policy.RECOMPUTE, cache) == EXECUTE
 
     # link: miss executes, hit links to the producing run
-    assert decide_action(task, Policy.LINK, cache, ws).kind == "execute"
+    assert decide_action(task, Policy.LINK, cache).kind == "execute"
     src = tmp_path / "blob.txt"
     src.write_text("x\n")
     digest = cache.put_blob(str(src))
     cache.put_entry(CacheEntry(fp, "r-prior", {"o": digest}, {}))
-    action = decide_action(task, Policy.LINK, cache, ws)
+    action = decide_action(task, Policy.LINK, cache)
     assert action.kind == "link" and action.entry.run_id == "r-prior"
 
     # update: stamp + outputs present skips; either missing executes
     def update():
-        return decide_action(task, Policy.UPDATE, cache, ws,
-                             stamp=read_stamp(ws, "one")).kind
+        return decide_action(task, Policy.UPDATE, cache,
+                             stamp=checked_stamp(task, cache, ws, dry=True)[0]).kind
 
     assert update() == "execute"
     write_stamp(ws, "one", CacheEntry(fp, "r-prior", {"o": digest}, {}))
@@ -1179,6 +1179,95 @@ def test_an_unchanged_update_run_stats_each_placed_file_once(tmp_path, monkeypat
         assert run_once(ws, graph, Policy.UPDATE).counts == {"skipped-up-to-date": 1}
     calls = {name: len(made) for name, made in counting.calls.items()}
     assert sum(calls.values()) <= placed + 1 + 1, calls
+
+
+def test_an_unchanged_link_run_scans_each_directory_output_once(tmp_path, monkeypatch):
+    """The stamp check's reading of a directory output is the run's one
+    reading of it: placing trusts it and scans the directory no more."""
+    ws = tmp_path / "ws"
+    graph = graph_for(tmp_path, file_and_wide_tree())
+    assert run_once(ws, graph, Policy.RECOMPUTE).ok
+    scanned = []
+    real = cache.scan_tree
+    monkeypatch.setattr(cache, "scan_tree",
+                        lambda root, members: scanned.append(root) or real(root, members))
+    monkeypatch.setattr(scheduler, "scan_tree", cache.scan_tree)
+    for _ in range(2):
+        scanned.clear()
+        assert run_once(ws, graph, Policy.LINK).counts == {"cached": 1}
+        assert scanned == [str(ws / "d")]
+
+
+@pytest.mark.parametrize("dry", [False, True])
+def test_an_unchanged_update_looks_for_no_output_again(tmp_path, monkeypatch, dry):
+    """Update skips on the checked stamp alone, in a run as in its
+    preview: no isfile or isdir call looks for a declared output again."""
+    ws = tmp_path / "ws"
+    graph = graph_for(tmp_path, file_and_wide_tree())
+    assert run_once(ws, graph, Policy.RECOMPUTE).ok
+    looked = []
+    with monkeypatch.context() as patch:
+        for name in ("isfile", "isdir"):
+            real = getattr(os.path, name)
+            patch.setattr(os.path, name, lambda path, real=real:
+                          looked.append(os.fspath(path)) or real(path))
+        if dry:
+            assert Runner(str(ws)).plan_preview(graph, Policy.UPDATE)["t"].kind == "skip"
+        else:
+            assert run_once(ws, graph, Policy.UPDATE).counts == {"skipped-up-to-date": 1}
+    assert not {str(ws / "f.txt"), str(ws / "d")} & set(looked)
+
+
+def test_a_changed_blob_that_cannot_leave_the_store_is_not_linked(tmp_path, monkeypatch):
+    """A blob that an edit in place changed is linked by no task of the
+    run, even when the check cannot remove it from the store: the task
+    executes, and the store and workspace get its bytes back."""
+    ws = tmp_path / "ws"
+    assert run_once(ws, graph_for(tmp_path, reader_chain()), Policy.RECOMPUTE).ok
+    blob = CacheStore(str(ws / "cache")).blob_path(
+        read_stamp(str(ws), "a").file_outputs["o"])
+    edit_in_place(ws / "a.txt", b"EDIT\n", append=True)
+    real = os.unlink
+
+    def unlink(path, *args, **kwargs):
+        if os.fspath(path) == blob:
+            raise PermissionError(13, "Permission denied", path)
+        return real(path, *args, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "unlink", unlink)
+        result = run_once(ws, graph_for(tmp_path, reader_chain()), Policy.LINK)
+    assert result.ok
+    assert started_tasks(read_journal(str(ws), result.run_id)) == ["a"]
+    assert result.states["a"].state == "succeeded"
+    assert (ws / "a.txt").read_text() == "hi\n"
+    assert_store_sealed(str(ws))
+
+
+def test_a_link_that_fails_part_way_is_placed_anew(tmp_path):
+    """A link that fails after placing part of a directory voids the
+    check's reading of it: the task executes, and its placement removes
+    what the failed link left, so the directory holds its members only."""
+    ws = tmp_path / "ws"
+    graph = graph_for(tmp_path, {
+        "name": "one-member",
+        "processes": [{"id": "t",
+                       "command": ["sh", "-c", "mkdir {outputs.d}; echo a > {outputs.d}/a"],
+                       "outputs": {"d": {"type": "directory", "path": "d"}}}],
+        "outputs": {"d": "t.d"}})
+    assert run_once(ws, graph, Policy.RECOMPUTE).ok
+    store = CacheStore(str(ws / "cache"))
+    planted = tmp_path / "planted"
+    planted.mkdir()
+    for name in "abc":
+        (planted / name).write_text(name + "\n")
+    tree = store.put_tree(str(planted))
+    os.unlink(store.blob_path(store.read_tree_manifest(tree)["entries"]["c"]))
+    store.put_entry(CacheEntry(read_stamp(str(ws), "t").fingerprint, "r-planted",
+                               {"d": tree}, {}))
+    result = run_once(ws, graph, Policy.LINK)
+    assert result.states["t"].state == "succeeded"
+    assert sorted(os.listdir(ws / "d")) == ["a"]
+    assert run_once(ws, graph, Policy.UPDATE).counts == {"skipped-up-to-date": 1}
 
 
 class FileOperations:
