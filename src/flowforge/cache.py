@@ -24,9 +24,10 @@ one read chunk and into a temp file otherwise, and installed by atomic
 rename under the digest of the bytes read, so a file the engine does not
 own is never made read-only or shared with the store. Content already
 stored costs no create and is not rewritten, so the hard links to a blob
-(sandboxes, workspace outputs) keep sharing its inode; only a blob whose
-size is not that of the bytes just hashed is replaced. The scheduler
-finds the edits of placed outputs that ignore the read-only mode
+(staged inputs, workspace outputs) keep sharing its inode; only a blob
+whose size is not that of the bytes just hashed is replaced. The
+scheduler removes a task's files from its sandbox once they are stored,
+and finds the edits of placed outputs that ignore the read-only mode
 (checked_stamp). Every other small file the engine keeps (entries,
 stamps, provenance, spool states) is replaced whole through
 replace_file. Temp files are dot-files named for the target and their

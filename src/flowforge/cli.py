@@ -17,6 +17,8 @@ import click
 
 from . import __version__
 from .model import (
+    STDERR_NAME,
+    STDOUT_NAME,
     WorkflowError,
     WorkflowLoader,
     check_value,
@@ -345,7 +347,7 @@ def logs(run_id, task_id, workdir):
                             "tasks", task_id)
     if not os.path.isdir(task_dir):
         raise CliError("no logs for task %s in run %s" % (task_id, run_id))
-    for name in ("stdout.txt", "stderr.txt"):
+    for name in (STDOUT_NAME, STDERR_NAME):
         path = os.path.join(task_dir, name)
         click.echo("==> %s <==" % name)
         if os.path.isfile(path):

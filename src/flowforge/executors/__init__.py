@@ -1,10 +1,10 @@
 """Pluggable task execution backends.
 
 A TaskSpec is fully self-contained and workdir-relative: argv never
-mentions absolute paths, inputs are already materialized inside the
-workdir, outputs appear at declared relative paths, and value outputs
-are written by the command to a manifest file in the workdir. That is
-what makes local, batch, and remote execution interchangeable.
+mentions absolute paths, inputs are already staged in the workdir's
+model.INPUTS_DIR, outputs appear at declared relative paths, and value
+outputs are written by the command to a manifest file in the workdir.
+That is what makes local, batch, and remote execution interchangeable.
 """
 
 from __future__ import annotations
@@ -21,20 +21,10 @@ from ..canon import file_digest  # noqa: F401  (perfbench's tracer wraps it)
 from ..model import PortType, check_value
 
 MANIFEST_NAME = "outputs.json"
-STDOUT_NAME = "stdout.txt"
-STDERR_NAME = "stderr.txt"
 
 
 class ExecutorError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class StagedInput:
-    """A materialized input file (or directory tree) inside the workdir."""
-
-    path: str  # workdir-relative, /-separated
-    tree: bool = False
 
 
 @dataclass(frozen=True)
@@ -49,7 +39,6 @@ class TaskSpec:
     task_id: str
     argv: tuple[str, ...]
     workdir: str
-    inputs: tuple[StagedInput, ...]
     outputs: tuple[OutputSpec, ...]
     wrapper: tuple[str, ...] = ()
     resources: dict | None = None

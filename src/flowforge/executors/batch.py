@@ -28,8 +28,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..cache import replace_file
-from . import (Outcome, STDERR_NAME, STDOUT_NAME, TaskSpec, collect_outcome,
-               spawn)
+from ..model import STDERR_NAME, STDOUT_NAME
+from . import Outcome, TaskSpec, collect_outcome, spawn
 
 DEFAULT_RESOURCES = {"cpus": 1, "memory": "1024M", "walltime": "00:10:00"}
 RUNNER_CONCURRENCY = 8  # jobs BatchExecutor's in-process runner runs at once

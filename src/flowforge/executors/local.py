@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import os
 
-from . import (Outcome, STDERR_NAME, STDOUT_NAME, TaskSpec, collect_outcome,
-               spawn)
+from ..model import STDERR_NAME, STDOUT_NAME
+from . import Outcome, TaskSpec, collect_outcome, spawn
 
 
 class LocalExecutor:

@@ -1,11 +1,12 @@
 """Remote execution over a pluggable transport with stage-in/stage-out.
 
 The bundled LoopbackTransport is a second directory tree on the same
-machine; it exercises every staging path without needing a network. The
-executor records data transfers (staged inputs, retrieved declared
-outputs, the value manifest) in `transfer.json` inside the local
-workdir; stdout/stderr retrieval is bookkeeping, not data transfer, and
-is not listed.
+machine; it exercises every staging path without needing a network.
+Stage-in pushes each file of the workdir's model.INPUTS_DIR at its own
+relpath. The executor records data transfers (staged inputs, retrieved
+declared outputs, the value manifest) in model.TRANSFER_LOG inside the
+local workdir; stdout/stderr retrieval is bookkeeping, not data
+transfer, and is not listed.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import shutil
 
 from ..cache import replace_file
 from ..canon import regular_files
-from . import (MANIFEST_NAME, Outcome, STDERR_NAME, STDOUT_NAME, TaskSpec,
-               collect_outcome, spawn)
+from ..model import INPUTS_DIR, STDERR_NAME, STDOUT_NAME, TRANSFER_LOG
+from . import MANIFEST_NAME, Outcome, TaskSpec, collect_outcome, spawn
 
-TRANSFER_LOG = "transfer.json"
 REMOTE_BASE = "jobs"  # task workdirs live at <transport root>/jobs/<task id>
 
 
@@ -109,16 +109,10 @@ class RemoteExecutor:
 
         try:
             self.transport.clear(remote_dir)  # no output of an earlier run
-            for staged in spec.inputs:
-                local = os.path.join(spec.workdir, staged.path.replace("/", os.sep))
-                if staged.tree:
-                    for member, full in regular_files(local):
-                        rel = posixpath.join(staged.path, member)
-                        self.transport.push(full, posixpath.join(remote_dir, rel))
-                        staged_in.append(rel)
-                else:
-                    self.transport.push(local, posixpath.join(remote_dir, staged.path))
-                    staged_in.append(staged.path)
+            for member, full in regular_files(os.path.join(spec.workdir, INPUTS_DIR)):
+                rel = posixpath.join(INPUTS_DIR, member)
+                self.transport.push(full, posixpath.join(remote_dir, rel))
+                staged_in.append(rel)
 
             exit_code, error = self.transport.run(
                 spec.full_argv, remote_dir,

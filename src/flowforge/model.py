@@ -20,8 +20,14 @@ FORMAT_VERSION = 1
 ID_RE = re.compile(r"[A-Za-z0-9_-]+")  # an identifier, matched whole
 # `params` is the reserved source-reference namespace, never a process id.
 RESERVED_IDS = frozenset({"params"})
-# The engine's own state in a workspace, where no output path may lead.
-RESERVED_PATHS = frozenset({"cache", "runs", ".flowforge"})
+# The names in a task's sandbox, runs/<run>/tasks/<task>/, spelled here alone.
+INPUTS_DIR = "inputs"  # staged inputs, one directory per port
+STDOUT_NAME = "stdout.txt"
+STDERR_NAME = "stderr.txt"
+TRANSFER_LOG = "transfer.json"  # what a remote executor transferred
+# The engine's own state in a workspace or a sandbox, where no output path may lead.
+RESERVED_PATHS = frozenset({"cache", "runs", ".flowforge", INPUTS_DIR,
+                            STDOUT_NAME, STDERR_NAME, TRANSFER_LOG})
 PLACEHOLDER_RE = re.compile(r"\{(inputs|outputs)\.(%s)\}" % ID_RE.pattern)
 
 VALUE_KINDS = frozenset({"string", "integer", "float", "boolean"})

@@ -36,18 +36,6 @@ class PlanError(WorkflowError):
     """Graph construction failure (bad params, missing files, bad refs)."""
 
 
-class MissingParamError(PlanError):
-    pass
-
-
-class MissingInputError(PlanError):
-    pass
-
-
-class ParamTypeError(PlanError):
-    pass
-
-
 class UnresolvedBindingError(PlanError):
     """A fingerprint was requested while an upstream result is unknown."""
 
@@ -154,7 +142,7 @@ def build_graph(fw: FlatWorkflow, param_values: dict | None,
 
     unknown = set(param_values) - set(fw.params)
     if unknown:
-        raise MissingParamError(
+        raise PlanError(
             "unknown param%s: %s" % ("s" if len(unknown) > 1 else "",
                                      ", ".join(sorted(unknown))))
 
@@ -165,16 +153,16 @@ def build_graph(fw: FlatWorkflow, param_values: dict | None,
         elif decl.has_default:
             value = decl.default
         else:
-            raise MissingParamError("param %r has no default and was not supplied" % name)
+            raise PlanError("param %r has no default and was not supplied" % name)
         if not check_value(value, decl.type):
-            raise ParamTypeError(
+            raise PlanError(
                 "param %r: %r does not inhabit %s" % (name, value, decl.type.render()))
         if decl.type.is_artifact:
             path = value if os.path.isabs(value) else os.path.join(anchor, value)
             is_dir = decl.type.kind == "directory"
             exists = os.path.isdir(path) if is_dir else os.path.isfile(path)
             if not exists:
-                raise MissingInputError(
+                raise PlanError(
                     "param %r: %s %s does not exist" % (name, decl.type.kind, path))
             param_bindings[name] = Blob(
                 digest_artifact(path, is_dir),

@@ -22,9 +22,9 @@ each blocking wait. A task runs in a process group of its own; a run
 that leaves by an exception, Ctrl-C included, kills the groups still
 running.
 
-A placed file output is a read-only hard link to its blob, and so is the
-file the task produced (the store adopts it), so an edit in place would
-reach the store. Stamps therefore record each placed file's (st_ino,
+A placed file output is a read-only hard link to its blob, often the
+very file the task produced (the store adopts it), so an edit in place
+would reach the store. Stamps therefore record each placed file's (st_ino,
 st_size, st_mtime_ns), and before the walk decides any task, under every
 policy, it checks every task's placed outputs against its stamp
 (checked_stamp), reading a directory output by cache.scan_tree: the
@@ -37,7 +37,9 @@ until a link fails: update skips on it, and placing keeps a file whose
 record is its blob's stat and rescans a directory only for a file the
 manifest lacks. A staged input is a link into the store as well; a task
 that writes one fails, and the producer's output that shared its inode
-leaves the workspace with the producer's stamp.
+leaves the workspace with the producer's stamp. No sandbox keeps a link
+into the store once its task ends: its staged inputs are removed, and
+so is each output the task made once every output is stored.
 
 Policy semantics (per task):
   recompute  always Execute.
@@ -67,10 +69,10 @@ from stat import S_ISREG
 from . import provenance, runstate
 from .cache import (CacheEntry, CacheError, CacheStore, encode_record,
                     read_entry, replace_file, scan_tree, stat_record)
-from .canon import file_digest
-from .executors import OutputSpec, StagedInput, TaskSpec, kill_live_groups
+from .canon import file_digest, regular_files
+from .executors import OutputSpec, TaskSpec, kill_live_groups
 from .executors.local import LocalExecutor
-from .model import env_to_data, param_ref, split_ref
+from .model import INPUTS_DIR, env_to_data, param_ref, split_ref
 from .planner import (
     Blob,
     Literal,
@@ -311,6 +313,15 @@ def decide_action(task: TaskInstance, policy: Policy, cache: CacheStore,
     elif stamp is not None and stamp.fingerprint == fp:
         return TaskAction("skip", fp, stamp)
     return TaskAction("execute", fp, stamp)
+
+
+def unlink_files(root: str):
+    """Unlink the file `root`, or each regular file under the directory
+    `root`; no symlink is followed, there (it goes itself) or below."""
+    for path in ([root] if os.path.islink(root) or not os.path.isdir(root)
+                 else [path for _, path in regular_files(root)]):
+        with contextlib.suppress(OSError):
+            os.unlink(path)
 
 
 def generate_run_id() -> str:
@@ -622,7 +633,7 @@ class Runner:
         each file staged, path -> (port, path within a directory input
         or None, stat), as placing it found them, so the sandbox is not
         walked again."""
-        rel = "inputs/%s/%s" % (port, binding.name or binding.digest[:12])
+        rel = "/".join((INPUTS_DIR, port, binding.name or binding.digest[:12]))
         dest = os.path.join(workdir, rel.replace("/", os.sep))
         self._ingest_input(binding)
         if binding.tree:
@@ -642,7 +653,6 @@ class Runner:
         try:
             os.makedirs(workdir)
 
-            staged: list[StagedInput] = []
             input_paths: dict[str, str] = {}
             before: dict[str, tuple] = {}
             for port in sorted(task.input_bindings):
@@ -650,7 +660,6 @@ class Runner:
                 if isinstance(binding, Blob):
                     rel, files = self._materialize_input(port, binding, workdir)
                     input_paths[port] = rel
-                    staged.append(StagedInput(rel, binding.tree))
                     before.update(files)
 
             argv = resolve_argv(task, input_paths)
@@ -661,29 +670,30 @@ class Runner:
                 task_id=task.id,
                 argv=tuple(argv),
                 workdir=workdir,
-                inputs=tuple(staged),
                 outputs=outputs,
                 wrapper=task.wrapper,
                 resources=task.resources)
             outcome = self.executor.execute(spec)
             rewritten = self._rewritten_input(task, before)
+            if rewritten or not outcome.success:
+                return TaskResult("failed", exit_code=outcome.exit_code,
+                                  fingerprint=fp, error=rewritten or outcome.error)
+            try:
+                entry = CacheEntry(fp, os.path.basename(run_dir),
+                                   self._publish_outputs(task, workdir),
+                                   dict(outcome.value_outputs))
+                self._link_outputs(task, entry, stamp)
+                self.cache.put_entry(entry)
+            except (CacheError, OSError) as exc:
+                return TaskResult("failed", exit_code=outcome.exit_code,
+                                  fingerprint=fp,
+                                  error="publishing outputs failed: %s" % exc)
         except (CacheError, OSError) as exc:
             log.warning("task %s could not be staged: %s", task.id, exc)
             return TaskResult("failed", exit_code=-1, fingerprint=fp,
                               error="staging failure: %s" % exc)
-        if rewritten or not outcome.success:
-            return TaskResult("failed", exit_code=outcome.exit_code,
-                              fingerprint=fp, error=rewritten or outcome.error)
-        try:
-            entry = CacheEntry(fp, os.path.basename(run_dir),
-                               self._publish_outputs(task, workdir),
-                               dict(outcome.value_outputs))
-            self._link_outputs(task, entry, stamp)
-            self.cache.put_entry(entry)
-        except (CacheError, OSError) as exc:
-            return TaskResult("failed", exit_code=outcome.exit_code,
-                              fingerprint=fp,
-                              error="publishing outputs failed: %s" % exc)
+        finally:  # no staged link outlives the task, nor a part-staged tree
+            unlink_files(os.path.join(workdir, INPUTS_DIR))
         return TaskResult("succeeded", exit_code=0, fingerprint=fp,
                           file_digests=entry.file_outputs,
                           value_outputs=entry.value_outputs)
@@ -728,15 +738,23 @@ class Runner:
 
     def _publish_outputs(self, task: TaskInstance, workdir: str) -> dict[str, str]:
         """Store declared outputs, adopting each file the task produced
-        (CacheStore.put_blob); returns port -> digest. _link_outputs
-        places them."""
+        (CacheStore.put_blob), and take them out of the sandbox; returns
+        port -> digest. An output reached through a symlink is copied and
+        left where it is. _link_outputs places them."""
         files: dict[str, str] = {}
-        for port, rel in sorted(task.file_output_paths.items()):
-            produced = os.path.join(workdir, rel.replace("/", os.sep))
-            if task.output_decls[port].type.kind == "directory":
-                files[port] = self.cache.put_tree(produced, adopt=True)
-            else:
-                files[port] = self.cache.put_blob(produced, adopt=True)
+        sandbox = os.path.realpath(workdir)
+        produced = {port: os.path.join(sandbox, rel.replace("/", os.sep))
+                    for port, rel in task.file_output_paths.items()}
+        own = [path for path in produced.values() if os.path.realpath(path) == path]
+        try:
+            for port, path in sorted(produced.items()):
+                if task.output_decls[port].type.kind == "directory":
+                    files[port] = self.cache.put_tree(path, adopt=path in own)
+                else:
+                    files[port] = self.cache.put_blob(path, adopt=path in own)
+        finally:  # only once all are stored: one output may link to another
+            for path in own:
+                unlink_files(path)
         return files
 
     def _link_outputs(self, task: TaskInstance, entry: CacheEntry,

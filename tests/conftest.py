@@ -93,7 +93,9 @@ def assert_store_sealed(ws):
     from reaching the store: every blob is read-only, and every file
     placed in the workspace (outside cache/, runs/ and .flowforge/) is
     recorded by a stamp and shares its inode with a blob that stamp
-    names, a file output or a member of a directory output."""
+    names, a file output or a member of a directory output; and no file
+    under runs/ (the tasks' sandboxes) or .flowforge/ shares its inode
+    with a blob."""
     from flowforge.cache import CacheError, CacheStore
 
     assert_blobs_match_names(ws)
@@ -119,11 +121,15 @@ def assert_store_sealed(ws):
         named.update(dict.fromkeys(stamp.get("placed", {}), digests))
     for dirpath, dirnames, filenames in os.walk(ws):
         if dirpath == ws:
-            dirnames[:] = [d for d in dirnames if d not in ("cache", "runs", ".flowforge")]
+            dirnames[:] = [d for d in dirnames if d != "cache"]
         for name in filenames:
             path = os.path.join(dirpath, name)
             rel = os.path.relpath(path, ws).replace(os.sep, "/")
-            assert rel in named, "no stamp records the placed file %s" % rel
             st = os.lstat(path)
-            assert blobs.get((st.st_dev, st.st_ino)) in named[rel], (
+            digest = blobs.get((st.st_dev, st.st_ino))
+            if rel.split("/")[0] in ("runs", ".flowforge"):
+                assert digest is None, "%s is a link to blob %s" % (rel, digest)
+                continue
+            assert rel in named, "no stamp records the placed file %s" % rel
+            assert digest in named[rel], (
                 "%s shares no inode with a blob its stamp names" % rel)

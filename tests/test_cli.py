@@ -23,11 +23,31 @@ def test_validate_ok():
 @pytest.mark.parametrize("name", [
     "cycle.wf", "dangling.wf", "dup_id.wf",
     "mismatch_value.wf", "mismatch_format.wf", "nested_output.wf",
-    "reserved_cache.wf", "reserved_runs.wf", "reserved_state.wf"])
+    "reserved_cache.wf", "reserved_runs.wf", "reserved_state.wf",
+    "reserved_inputs.wf", "reserved_stdout.wf", "reserved_stderr.wf",
+    "reserved_transfer.wf"])
 def test_validate_negative_exits_2(name):
     proc = cli("validate", os.path.join(NEGATIVE_DIR, name))
     assert proc.returncode == 2
     assert proc.stderr.strip()
+
+
+@pytest.mark.parametrize("name,executor", [
+    ("reserved_stdout.wf", "local"), ("reserved_stdout.wf", "batch:mock"),
+    ("reserved_inputs.wf", "local"), ("reserved_transfer.wf", "remote:loopback")])
+def test_an_output_at_a_sandbox_name_is_refused(tmp_path, name, executor):
+    """In the task's sandbox an output there would be its stream, its
+    staged inputs or the transfer log, and those bytes would be
+    published; run refuses the workflow and publishes nothing."""
+    given = tmp_path / "in.txt"
+    given.write_text("staged\n")
+    params = ["--param", "x=%s" % given] if name == "reserved_inputs.wf" else []
+    ws = tmp_path / "ws"
+    proc = cli("run", os.path.join(NEGATIVE_DIR, name), "--workdir", ws,
+               "--executor", executor, *params)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "outside the engine's state" in proc.stderr
+    assert run_ids(str(ws)) == []
 
 
 def test_deep_chain_validates_and_plans(tmp_path):

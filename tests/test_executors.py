@@ -13,8 +13,8 @@ import pytest
 
 import flowforge
 from flowforge import runstate
-from flowforge.executors import (OutputSpec, StagedInput, TaskSpec, batch,
-                                 collect_outcome, make_executor)
+from flowforge.executors import (OutputSpec, TaskSpec, batch, collect_outcome,
+                                 make_executor)
 from flowforge.executors.batch import (MOCK_TEMPLATE, BatchExecutor,
                                        MockBatchBackend, render_job_script,
                                        run_spool)
@@ -24,10 +24,9 @@ from flowforge.planner import build_graph
 from flowforge.scheduler import Policy, Runner
 
 
-def spec_for(workdir, argv, outputs=(), inputs=()):
+def spec_for(workdir, argv, outputs=()):
     os.makedirs(workdir, exist_ok=True)
-    return TaskSpec("t1", tuple(argv), str(workdir),
-                    tuple(inputs), tuple(outputs))
+    return TaskSpec("t1", tuple(argv), str(workdir), tuple(outputs))
 
 
 def within(seconds, call, *args):
@@ -383,7 +382,6 @@ def test_remote_stages_and_collects(tmp_path):
     (w / "inputs" / "data" / "in.txt").write_text("payload\n")
     spec = TaskSpec(
         "t-remote", ("sh", "-c", "cp inputs/data/in.txt out.txt"), str(w),
-        (StagedInput("inputs/data/in.txt"),),
         (OutputSpec("o", parse_type("file"), "out.txt"),))
     outcome = executor.execute(spec)
     assert outcome.success
@@ -399,7 +397,6 @@ def test_remote_transfer_log_lists_stage_directions(tmp_path):
         "t-log",
         ("sh", "-c", "cp inputs/data/in.txt out.txt; echo '{\"n\": 1}' > outputs.json"),
         str(w),
-        (StagedInput("inputs/data/in.txt"),),
         (OutputSpec("o", parse_type("file"), "out.txt"),
          OutputSpec("n", parse_type("integer"), None)))
     outcome = executor.execute(spec)
@@ -417,7 +414,7 @@ def test_remote_workdir_is_isolated(tmp_path):
     spec = TaskSpec(
         "t-isolated",
         ("sh", "-c", "test ! -e leak.txt && echo isolated > verdict.txt"),
-        str(w), (),
+        str(w),
         (OutputSpec("v", parse_type("file"), "verdict.txt"),))
     outcome = executor.execute(spec)
     assert outcome.success, outcome.error
@@ -426,7 +423,7 @@ def test_remote_workdir_is_isolated(tmp_path):
     local_spec = TaskSpec(
         "t-local",
         ("sh", "-c", "test ! -e leak.txt && echo isolated > verdict.txt"),
-        str(w), (), (OutputSpec("v", parse_type("file"), "verdict.txt"),))
+        str(w), (OutputSpec("v", parse_type("file"), "verdict.txt"),))
     assert LocalExecutor().execute(local_spec).exit_code != 0
 
 
@@ -434,7 +431,7 @@ def test_remote_missing_output_stays_absent(tmp_path):
     executor, ws = remote_pair(tmp_path)
     w = tmp_path / "w"
     w.mkdir()
-    spec = TaskSpec("t-miss", ("sh", "-c", "true"), str(w), (),
+    spec = TaskSpec("t-miss", ("sh", "-c", "true"), str(w),
                     (OutputSpec("o", parse_type("file"), "never.txt"),))
     outcome = executor.execute(spec)
     assert not outcome.success and "MissingOutput" in outcome.error
@@ -531,6 +528,70 @@ def test_symlink_in_a_directory_output_is_no_member_on_any_executor(tmp_path):
                       sorted(os.listdir(os.path.join(ws, "d"))), listing)
     assert seen["local"][1:] == (["a"], "a\n")
     assert seen["local"] == seen["batch:mock"] == seen["remote:loopback"]
+
+
+def links_into_the_store(ws):
+    """The relpath of each file under runs/ that shares its inode with
+    a blob of the workspace's store."""
+    blobs = set()
+    for dirpath, _, names in os.walk(os.path.join(ws, "cache", "objects")):
+        for name in names:
+            st = os.stat(os.path.join(dirpath, name))
+            blobs.add((st.st_dev, st.st_ino))
+    found = []
+    for dirpath, _, names in os.walk(os.path.join(ws, "runs")):
+        for name in names:
+            st = os.lstat(os.path.join(dirpath, name))
+            if (st.st_dev, st.st_ino) in blobs:
+                found.append(os.path.relpath(os.path.join(dirpath, name), ws))
+    return found
+
+
+@pytest.mark.parametrize("name", ["local", "batch:mock", "remote:loopback"])
+def test_no_sandbox_file_is_a_link_into_the_store(tmp_path, name):
+    """Once a task ends its sandbox shares no inode with a blob, on every
+    executor: its staged inputs, a file and a directory, are unlinked,
+    also for a task that failed, and the store takes each output the
+    task made, also one it hard-linked from its input. Only after every
+    output is stored, so an output that is a symlink to a staged input,
+    or to a member of a directory output with an earlier port, is
+    stored by copy."""
+    doc = {"name": "sandbox", "processes": [
+        {"id": "make",
+         "command": ["sh", "-c", "echo a > {outputs.o} && mkdir {outputs.d}"
+                     " && echo b > {outputs.d}/b"],
+         "outputs": {"o": {"type": "file", "path": "o.txt"},
+                     "d": {"type": "directory", "path": "d"}}},
+        {"id": "use", "command": ["sh", "-c", "ln {inputs.o} {outputs.c}"
+                                  " && ln -s {inputs.o} {outputs.p} && mkdir {outputs.box}"
+                                  " && cat {inputs.d}/b > {outputs.box}/e.txt"
+                                  " && ln -s box/e.txt {outputs.latest}"],
+         "inputs": {"o": {"type": "file", "from": "make.o"},
+                    "d": {"type": "directory", "from": "make.d"}},
+         "outputs": {"c": {"type": "file", "path": "c.txt"},
+                     "p": {"type": "file", "path": "p.txt"},
+                     "box": {"type": "directory", "path": "box"},
+                     "latest": {"type": "file", "path": "latest.txt"}}},
+        {"id": "fail", "command": ["sh", "-c", "cat {inputs.d}/b; exit 3"],
+         "inputs": {"d": {"type": "directory", "from": "make.d"}},
+         "outputs": {"f": {"type": "file", "path": "f.txt"}}}]}
+    flat = flatten(parse_workflow(json.dumps(doc)), WorkflowLoader(),
+                   str(tmp_path))
+    ws = str(tmp_path / "ws")
+    os.makedirs(ws)
+    executor = make_executor(name, ws)
+    try:
+        result = Runner(ws, executor=executor, keep_going=True).run(
+            build_graph(flat, {}), Policy.RECOMPUTE)
+    finally:
+        getattr(executor, "close", lambda: None)()
+    assert {t: r.state for t, r in result.states.items()} == {
+        "make": "succeeded", "use": "succeeded", "fail": "failed"}
+    for rel, text in (("c.txt", "a\n"), ("p.txt", "a\n"), ("box/e.txt", "b\n"),
+                      ("latest.txt", "b\n")):
+        with open(os.path.join(ws, rel)) as fh:
+            assert fh.read() == text
+    assert links_into_the_store(ws) == []
 
 
 # -- process groups ------------------------------------------------------------

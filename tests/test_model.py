@@ -160,6 +160,15 @@ def test_the_documented_identifier_rule_is_the_code_rule():
      "outside the engine's state"),
     (lambda d: d["processes"][0]["outputs"]["mesh"].update(path=".flowforge/stamps/a"),
      "outside the engine's state"),
+    # a task's sandbox: its staged inputs, its streams, the transfer log
+    (lambda d: d["processes"][0]["outputs"]["mesh"].update(path="inputs/mesh"),
+     "outside the engine's state"),
+    (lambda d: d["processes"][0]["outputs"]["mesh"].update(path="stdout.txt"),
+     "outside the engine's state"),
+    (lambda d: d["processes"][0]["outputs"]["mesh"].update(path="./stderr.txt"),
+     "outside the engine's state"),
+    (lambda d: d["processes"][0]["outputs"]["mesh"].update(path="transfer.json"),
+     "outside the engine's state"),
     (lambda d: d["processes"][0]["inputs"]["size"].pop("from"), "from"),
     (lambda d: d["processes"][0]["command"].append("{inputs.nope}"),
      "undeclared"),

@@ -3,7 +3,8 @@ cache.replace_file, and CacheStore.put_blob alone installs blobs; each
 kind of JSON record has one parser; outputs reach the workspace by one
 path, the store's materialize_* calls, which alone link files and, in
 a directory output, remove what its manifest lacks; and a placed
-directory is read one way, by cache.scan_tree. No linter is
+directory is read one way, by cache.scan_tree; and the names in a
+task's sandbox are spelled in model.py alone. No linter is
 installed, so the checks are written here with the standard library,
 as in test_unused_imports.py."""
 
@@ -150,3 +151,28 @@ def test_only_scan_tree_reads_a_placed_directory():
     found = {(rel, site) for rel, tree in modules()
              for site in use_sites(tree, "os", ("scandir",))}
     assert found == SCANNERS
+
+
+# the names model.py gives a task's sandbox, and the prefix of a staged
+# input's relpath, which no other module spells
+SANDBOX_NAMES = {"stdout.txt", "stderr.txt", "transfer.json"}
+SANDBOX_PREFIX = "inputs/"
+
+
+def sandbox_literals(tree) -> list[str]:
+    """Each string constant in `tree` that spells a sandbox name."""
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and (node.value in SANDBOX_NAMES or node.value.startswith(SANDBOX_PREFIX))]
+
+
+def test_only_the_model_spells_the_sandbox_names():
+    """model.INPUTS_DIR, STDOUT_NAME, STDERR_NAME and TRANSFER_LOG are the
+    one spelling of a sandbox's names, so the paths the parser refuses
+    (model.RESERVED_PATHS) are the names the executors write."""
+    assert sorted(sandbox_literals(ast.parse(
+        "def f():\n    return 'inputs/%s' % p, 'stdout.txt', 'x/inputs/'\n"))) \
+        == ["inputs/%s", "stdout.txt"]
+    found = {rel: sandbox_literals(tree) for rel, tree in modules()}
+    assert {rel for rel, names in found.items() if names} == {"model.py"}
+    assert sorted(found["model.py"]) == sorted(SANDBOX_NAMES)

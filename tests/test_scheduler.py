@@ -1,5 +1,6 @@
 """Run policies, failure handling, propagation, journal effects."""
 
+import contextlib
 import hashlib
 import json
 import os
@@ -798,8 +799,8 @@ def test_directory_artifact_file_operation_budget(tmp_path, monkeypatch):
 
 def test_a_produced_file_is_adopted_not_copied(tmp_path, monkeypatch):
     """An 8 MiB output is hashed once, in place, and becomes its blob:
-    the sandbox file, the workspace output and the blob are one inode,
-    and no file is created under cache/objects."""
+    the workspace output and the blob are one inode, and no file is
+    created under cache/objects."""
     size = 8 << 20
     doc = {
         "name": "adopt",
@@ -828,10 +829,42 @@ def test_a_produced_file_is_adopted_not_copied(tmp_path, monkeypatch):
     assert counting_os.created_under(os.path.join(str(ws), "cache", "objects")) == []
     digest = result.states["make"].file_digests["o"]
     assert digest == hashlib.sha256(bytes(size)).hexdigest()
-    inode = os.stat(ws / "runs" / result.run_id / "tasks" / "make" / "big.bin")
-    assert os.path.samestat(inode, os.stat(ws / "big.bin"))
-    assert os.path.samestat(inode, os.stat(
+    assert os.path.samestat(os.stat(ws / "big.bin"), os.stat(
         CacheStore(str(ws / "cache")).blob_path(digest)))
+    assert_store_sealed(str(ws))
+
+
+@pytest.mark.parametrize("policy", [Policy.RECOMPUTE, Policy.LINK])
+def test_an_edit_in_an_old_sandbox_does_not_reach_the_store(tmp_path, policy):
+    """A sandbox holds no link into the store once its task ends, so a
+    file written at an earlier run's output or staged input path is not
+    the blob that a later run places, by executing or by linking."""
+    doc = {
+        "name": "tagged",
+        "params": {"tag": {"type": "string", "default": "a"}},
+        "processes": [
+            {"id": "make",
+             "command": ["sh", "-c", "echo {inputs.t} > {outputs.o}"],
+             "inputs": {"t": {"type": "string", "from": "params.tag"}},
+             "outputs": {"o": {"type": "file", "path": "o.txt"}}},
+            {"id": "use", "command": ["sh", "-c", "cat {inputs.i} > {outputs.c}"],
+             "inputs": {"i": {"type": "file", "from": "make.o"}},
+             "outputs": {"c": {"type": "file", "path": "c.txt"}}}],
+        "outputs": {"c": "use.c"},
+    }
+    ws = tmp_path / "ws"
+    first = run_once(ws, graph_for(tmp_path, doc), Policy.RECOMPUTE)
+    assert run_once(ws, graph_for(tmp_path, doc, {"tag": "b"}), Policy.UPDATE).ok
+    sandboxes = ws / "runs" / first.run_id / "tasks"
+    for old in (sandboxes / "make" / "o.txt",
+                sandboxes / "use" / "inputs" / "i" / "o.txt"):
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(old, 0o644)  # the owner's way past the read-only mode
+        old.write_text("Z\n")
+    result = run_once(ws, graph_for(tmp_path, doc), policy)
+    assert result.ok
+    assert (ws / "o.txt").read_text() == (ws / "c.txt").read_text() == "a\n"
+    assert result.states["make"].file_digests["o"] == hashlib.sha256(b"a\n").hexdigest()
     assert_store_sealed(str(ws))
 
 
@@ -864,6 +897,54 @@ def test_only_a_file_the_task_made_is_adopted(tmp_path):
         assert not os.path.samestat(now, blob)
         assert blob.st_mode & 0o777 == 0o444
         assert (ws / name).read_text() == (outside / name).read_text()
+    assert_store_sealed(str(ws))
+
+
+def test_no_file_reached_through_a_symlink_is_taken(tmp_path):
+    """A directory output that is a symlink to an outside directory, and
+    a file output in a directory that is one, are stored by copy: the
+    outside files stay where they were, with their inode and mode."""
+    outside = tmp_path / "outside"
+    (outside / "sub").mkdir(parents=True)
+    (outside / "sub" / "m.txt").write_text("member\n")
+    (outside / "f.txt").write_text("file\n")
+    names = ("sub/m.txt", "f.txt")
+    before = {name: os.stat(outside / name) for name in names}
+    doc = {
+        "name": "reached",
+        "processes": [{
+            "id": "make",
+            "command": ["sh", "-c", "ln -s %s {outputs.d} && ln -s %s via"
+                        % (outside / "sub", outside)],
+            "outputs": {"d": {"type": "directory", "path": "d"},
+                        "f": {"type": "file", "path": "via/f.txt"}}}],
+        "outputs": {"d": "make.d"},
+    }
+    ws = tmp_path / "ws"
+    result = run_once(ws, graph_for(tmp_path, doc), Policy.RECOMPUTE)
+    assert result.ok, result.states
+    for name in names:
+        now = os.stat(outside / name)
+        assert (now.st_ino, now.st_mode) == (before[name].st_ino, before[name].st_mode)
+    assert (ws / "d" / "m.txt").read_text() == "member\n"
+    assert (ws / "via" / "f.txt").read_text() == "file\n"
+    assert_store_sealed(str(ws))
+
+
+def test_a_task_that_makes_its_inputs_a_symlink_keeps_the_files_it_reaches(tmp_path):
+    """Unlinking the staged inputs when a task ends does not follow an
+    `inputs` that the task replaced by a symlink."""
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "keep.txt").write_text("keep\n")
+    doc = reader_chain()
+    doc["processes"][1]["command"] = [
+        "sh", "-c", "cat {inputs.x} > {outputs.o} && rm -r inputs && ln -s %s inputs"
+        % outside]
+    ws = tmp_path / "ws"
+    result = run_once(ws, graph_for(tmp_path, doc), Policy.RECOMPUTE)
+    assert result.ok, result.states
+    assert (outside / "keep.txt").read_text() == "keep\n"
     assert_store_sealed(str(ws))
 
 
