@@ -343,10 +343,20 @@ def status(run_id, workdir):
               show_default=True)
 def logs(run_id, task_id, workdir):
     """Print a task's captured stdout and stderr."""
-    task_dir = os.path.join(os.path.abspath(workdir), "runs", run_id,
-                            "tasks", task_id)
+    run_dir = os.path.join(os.path.abspath(workdir), "runs", run_id)
+    task_dir = os.path.join(run_dir, "tasks", task_id)
+    absent = "(absent)\n"
     if not os.path.isdir(task_dir):
-        raise CliError("no logs for task %s in run %s" % (task_id, run_id))
+        from . import runstate
+
+        try:
+            events, _ = runstate.read_events(
+                os.path.join(run_dir, runstate.JOURNAL_NAME))
+        except runstate.JournalError:
+            events = []
+        if not any(e.kind == "task-started" and e.task == task_id for e in events):
+            raise CliError("no logs for task %s in run %s" % (task_id, run_id))
+        absent = ""  # it ran, and its sandbox went with its empty logs
     for name in (STDOUT_NAME, STDERR_NAME):
         path = os.path.join(task_dir, name)
         click.echo("==> %s <==" % name)
@@ -357,7 +367,7 @@ def logs(run_id, task_id, workdir):
             if content and not content.endswith("\n"):
                 click.echo()
         else:
-            click.echo("(absent)")
+            click.echo(absent, nl=False)
 
 
 @main.group()

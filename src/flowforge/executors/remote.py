@@ -95,7 +95,9 @@ class RemoteExecutor:
     retrieved local files in, after stage-out, so a lying or lossy
     transport cannot corrupt the cache. A declared output
     the transport cannot retrieve simply stays absent locally and
-    surfaces as MissingOutput; nothing partial is ever cached.
+    surfaces as MissingOutput; nothing partial is ever cached. Once the
+    outputs, the value manifest and the logs are back, the task's remote
+    directory is cleared, so the transport keeps no copy of them.
     """
 
     def __init__(self, transport):
@@ -143,6 +145,7 @@ class RemoteExecutor:
                                 os.path.join(spec.workdir, STDOUT_NAME))
             self.transport.pull(posixpath.join(remote_dir, STDERR_NAME),
                                 os.path.join(spec.workdir, STDERR_NAME))
+            self.transport.clear(remote_dir)  # all it holds is local now
         except TransportError as exc:
             exit_code, error = -1, "transport failure: %s" % exc
 

@@ -38,8 +38,10 @@ record is its blob's stat and rescans a directory only for a file the
 manifest lacks. A staged input is a link into the store as well; a task
 that writes one fails, and the producer's output that shared its inode
 leaves the workspace with the producer's stamp. No sandbox keeps a link
-into the store once its task ends: its staged inputs are removed, and
-so is each output the task made once every output is stored.
+into the store once its task ends: each output the task made leaves it
+once every output is stored, and then a succeeded task's sandbox goes,
+all but its logs when it printed something or ran remotely, while a
+failed task's stays without its staged inputs.
 
 Policy semantics (per task):
   recompute  always Execute.
@@ -58,6 +60,7 @@ import contextlib
 import heapq
 import logging
 import os
+import shutil
 import socket
 import time
 import uuid
@@ -72,7 +75,8 @@ from .cache import (CacheEntry, CacheError, CacheStore, encode_record,
 from .canon import file_digest, regular_files
 from .executors import OutputSpec, TaskSpec, kill_live_groups
 from .executors.local import LocalExecutor
-from .model import INPUTS_DIR, env_to_data, param_ref, split_ref
+from .model import (INPUTS_DIR, STDERR_NAME, STDOUT_NAME, TRANSFER_LOG,
+                    env_to_data, param_ref, split_ref)
 from .planner import (
     Blob,
     Literal,
@@ -324,6 +328,49 @@ def unlink_files(root: str):
             os.unlink(path)
 
 
+def close_sandbox(workdir: str, staged: dict, succeeded: bool):
+    """Leave no link into the store in the sandbox of a task that ended.
+    A succeeded task's sandbox goes whole when its stdout.txt and
+    stderr.txt are empty and it holds no transfer log; otherwise it
+    keeps just those three files, which `flowforge logs` reads. A failed
+    task's sandbox stays for debugging, less its staged inputs. A file
+    kept that shares the inode of a staged input (`staged`, as
+    _materialize_input gives them), one the task linked to it, becomes
+    a copy. No symlink is followed, and what cannot be removed stays."""
+    kept = []
+    if succeeded:
+        logs = {}  # name -> size of each log there
+        for name in (STDOUT_NAME, STDERR_NAME, TRANSFER_LOG):
+            with contextlib.suppress(OSError):
+                logs[name] = os.lstat(os.path.join(workdir, name)).st_size
+        if logs == {STDOUT_NAME: 0, STDERR_NAME: 0}:
+            shutil.rmtree(workdir, ignore_errors=True)
+            return
+        with contextlib.suppress(OSError):
+            for name in set(os.listdir(workdir)) - logs.keys():
+                path = os.path.join(workdir, name)
+                if os.path.isdir(path) and not os.path.islink(path):
+                    shutil.rmtree(path, ignore_errors=True)
+                else:
+                    unlink_files(path)
+        kept = [os.path.join(workdir, name) for name in logs]
+    else:
+        for rel, path in regular_files(workdir):
+            if rel.startswith(INPUTS_DIR + "/"):
+                unlink_files(path)
+            else:
+                kept.append(path)
+    inodes = {(st.st_dev, st.st_ino) for _, _, st in staged.values()}
+    for path in kept:
+        with contextlib.suppress(OSError):
+            st = os.lstat(path)
+            if S_ISREG(st.st_mode) and (st.st_dev, st.st_ino) in inodes:
+                with open(path, "rb") as src:
+                    os.unlink(path)
+                    with open(path, "xb") as copy:
+                        shutil.copyfileobj(src, copy)
+
+
 def generate_run_id() -> str:
     """Sortable-by-start-time and collision-proof within a workspace."""
     return "r%s-%s" % (time.strftime("%Y%m%d-%H%M%S"), uuid.uuid4().hex[:6])
@@ -422,10 +469,9 @@ class Runner:
         run_dir = os.path.join(self.workspace, "runs", run_id)
         if os.path.exists(run_dir):
             raise SchedulerError("run directory already exists: %s" % run_dir)
-        os.makedirs(run_dir)
         started = time.monotonic()
-
-        self._ingest_external_inputs(graph)
+        self._ingest_external_inputs(graph)  # before a run is there to see
+        os.makedirs(run_dir)
 
         journal = runstate.Journal.create(run_dir)
         meta = meta or {}
@@ -529,6 +575,8 @@ class Runner:
             finally:
                 journal.close()
 
+        with contextlib.suppress(OSError):  # no task left a sandbox
+            os.rmdir(os.path.join(run_dir, "tasks"))
         self._write_provenance(run_dir)
         result.wall_seconds = time.monotonic() - started
         return result
@@ -646,15 +694,17 @@ class Runner:
                       stamp: Stamp | None) -> TaskResult:
         """Worker-thread body: hermetic workdir, staged inputs, executor
         call, then this task's outputs, stamp and cache entry; `stamp` is
-        the task's checked stamp (see _link_outputs).
+        the task's checked stamp (see _link_outputs). Then the sandbox
+        goes, or stays for debugging when the task failed (close_sandbox).
         Infrastructure problems become failed results rather than
         exceptions so the run can keep accounting."""
         workdir = os.path.join(run_dir, "tasks", task.id)
+        before: dict[str, tuple] = {}
+        succeeded = False
         try:
             os.makedirs(workdir)
 
             input_paths: dict[str, str] = {}
-            before: dict[str, tuple] = {}
             for port in sorted(task.input_bindings):
                 binding = task.input_bindings[port]
                 if isinstance(binding, Blob):
@@ -688,12 +738,13 @@ class Runner:
                 return TaskResult("failed", exit_code=outcome.exit_code,
                                   fingerprint=fp,
                                   error="publishing outputs failed: %s" % exc)
+            succeeded = True
         except (CacheError, OSError) as exc:
             log.warning("task %s could not be staged: %s", task.id, exc)
             return TaskResult("failed", exit_code=-1, fingerprint=fp,
                               error="staging failure: %s" % exc)
-        finally:  # no staged link outlives the task, nor a part-staged tree
-            unlink_files(os.path.join(workdir, INPUTS_DIR))
+        finally:  # no link into the store outlives the task, nor a part-staged tree
+            close_sandbox(workdir, before, succeeded)
         return TaskResult("succeeded", exit_code=0, fingerprint=fp,
                           file_digests=entry.file_outputs,
                           value_outputs=entry.value_outputs)

@@ -140,6 +140,33 @@ def test_status_unknown_run_exits_2(ws):
     assert proc.returncode == 2
 
 
+def test_logs_print_the_same_bytes_without_a_sandbox(tmp_path, ws):
+    """A silent task's sandbox is gone after the run, and `logs` prints
+    what its two empty files gave; a task that printed keeps its logs;
+    a task the run did not start has none."""
+    wf = tmp_path / "two.wf"
+    wf.write_text(json.dumps({"name": "two", "processes": [
+        {"id": "quiet", "command": ["sh", "-c", "echo q > {outputs.o}"],
+         "outputs": {"o": {"type": "file", "path": "q.txt"}}},
+        {"id": "loud", "command": ["sh", "-c", "echo out; printf err >&2; cat {inputs.i} > {outputs.o}"],
+         "inputs": {"i": {"type": "file", "from": "quiet.o"}},
+         "outputs": {"o": {"type": "file", "path": "l.txt"}}}]}))
+    assert cli("run", wf, "--workdir", ws).returncode == 0
+    (rid,) = run_ids(ws)
+    assert not os.path.exists(os.path.join(ws, "runs", rid, "tasks", "quiet"))
+    proc = cli("logs", rid, "quiet", "--workdir", ws)
+    assert (proc.returncode, proc.stdout) == (0, "==> stdout.txt <==\n==> stderr.txt <==\n")
+    proc = cli("logs", rid, "loud", "--workdir", ws)
+    assert (proc.returncode, proc.stdout) == (
+        0, "==> stdout.txt <==\nout\n==> stderr.txt <==\nerr\n")
+    assert cli("run", wf, "--workdir", ws).returncode == 0  # skips both
+    (skipped,) = set(run_ids(ws)) - {rid}
+    for run, task in ((skipped, "quiet"), (rid, "nosuch"), ("r-nope", "quiet")):
+        proc = cli("logs", run, task, "--workdir", ws)
+        assert proc.returncode == 2
+        assert "no logs for task %s in run %s" % (task, run) in proc.stderr
+
+
 def test_bad_param_value_exits_2(ws):
     proc = cli("run", WF, "--workdir", ws, "--param", "domain_size=abc")
     assert proc.returncode == 2

@@ -23,6 +23,8 @@ from flowforge.model import WorkflowLoader, flatten, parse_type, parse_workflow
 from flowforge.planner import build_graph
 from flowforge.scheduler import Policy, Runner
 
+from conftest import assert_store_sealed
+
 
 def spec_for(workdir, argv, outputs=()):
     os.makedirs(workdir, exist_ok=True)
@@ -592,6 +594,65 @@ def test_no_sandbox_file_is_a_link_into_the_store(tmp_path, name):
         with open(os.path.join(ws, rel)) as fh:
             assert fh.read() == text
     assert links_into_the_store(ws) == []
+
+
+@pytest.mark.parametrize("name", ["local", "batch:mock", "remote:loopback"])
+def test_a_succeeded_task_leaves_a_sandbox_only_to_show_something(tmp_path, name):
+    """On every executor a succeeded task's sandbox goes, but for the
+    logs of one that printed or ran remotely, and a failed task's stays
+    for debugging; the remote side keeps no job directory."""
+    doc = {"name": "leave", "processes": [
+        {"id": "make", "command": ["sh", "-c", "echo a > {outputs.o}"],
+         "outputs": {"o": {"type": "file", "path": "o.txt"}}},
+        {"id": "use", "command": ["sh", "-c", "cat {inputs.i} > {outputs.c}"],
+         "inputs": {"i": {"type": "file", "from": "make.o"}},
+         "outputs": {"c": {"type": "file", "path": "c.txt"}}},
+        {"id": "loud", "command": ["sh", "-c", "echo said >&2 && cat {inputs.i} > {outputs.c}"],
+         "inputs": {"i": {"type": "file", "from": "make.o"}},
+         "outputs": {"c": {"type": "file", "path": "l.txt"}}},
+        {"id": "fail", "command": ["sh", "-c", "cat {inputs.i}; exit 3"],
+         "inputs": {"i": {"type": "file", "from": "make.o"}},
+         "outputs": {"f": {"type": "file", "path": "f.txt"}}}]}
+    flat = flatten(parse_workflow(json.dumps(doc)), WorkflowLoader(), str(tmp_path))
+    ws = str(tmp_path / "ws")
+    os.makedirs(ws)
+    executor = make_executor(name, ws)
+    try:
+        result = Runner(ws, executor=executor, keep_going=True).run(
+            build_graph(flat, {}), Policy.RECOMPUTE)
+    finally:
+        getattr(executor, "close", lambda: None)()
+    assert result.tasks_in_state("failed") == ["fail"]
+    tasks = os.path.join(ws, "runs", result.run_id, "tasks")
+    logs = ["stderr.txt", "stdout.txt"] + (["transfer.json"] if name.startswith("remote") else [])
+    kept = {"loud": logs, **({"make": logs, "use": logs} if name.startswith("remote") else {})}
+    assert {tid: sorted(os.listdir(os.path.join(tasks, tid)))
+            for tid in os.listdir(tasks) if tid != "fail"} == kept
+    with open(os.path.join(tasks, "loud", "stderr.txt")) as fh:
+        assert fh.read() == "said\n"
+    with open(os.path.join(tasks, "fail", "stdout.txt")) as fh:
+        assert fh.read() == "a\n"
+    jobs = os.path.join(ws, ".flowforge", "remote", "jobs")
+    assert not os.path.isdir(jobs) or os.listdir(jobs) == []
+    assert_store_sealed(ws)
+
+
+def test_a_remote_job_directory_goes_once_its_outputs_are_back(tmp_path):
+    """The loopback transport keeps no copy of what a task staged in or
+    made once the executor has pulled its outputs and logs back."""
+    doc = {"name": "pair", "processes": [
+        {"id": "make", "command": ["sh", "-c", "echo a > {outputs.o}"],
+         "outputs": {"o": {"type": "file", "path": "o.txt"}}},
+        {"id": "use", "command": ["sh", "-c", "cat {inputs.i} > {outputs.c}"],
+         "inputs": {"i": {"type": "file", "from": "make.o"}},
+         "outputs": {"c": {"type": "file", "path": "c.txt"}}}]}
+    flat = flatten(parse_workflow(json.dumps(doc)), WorkflowLoader(), str(tmp_path))
+    ws = str(tmp_path / "ws")
+    os.makedirs(ws)
+    result = Runner(ws, executor=make_executor("remote:loopback", ws)).run(
+        build_graph(flat, {}), Policy.RECOMPUTE)
+    assert result.ok, result.states
+    assert os.listdir(os.path.join(ws, ".flowforge", "remote", "jobs")) == []
 
 
 # -- process groups ------------------------------------------------------------

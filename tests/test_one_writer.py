@@ -24,10 +24,11 @@ RENAMERS = {("cache.py", "replace_file"), ("cache.py", "CacheStore.put_blob")}
 LINKERS = {("cache.py", "link_file"), ("cache.py", "CacheStore._adopt")}
 
 # (module path within the package, qualified function) that may remove
-# a tree: pruning a placed directory output, and emptying a remote job
-# directory before stage-in
+# a tree: pruning a placed directory output, emptying a remote job
+# directory, and removing a succeeded task's sandbox
 TREE_REMOVERS = {("cache.py", "_prune"),
-                 ("executors/remote.py", "LoopbackTransport.clear")}
+                 ("executors/remote.py", "LoopbackTransport.clear"),
+                 ("scheduler.py", "close_sandbox")}
 
 # (module path within the package, qualified function) that may list a
 # directory: the one reading of a placed directory output, which the

@@ -1,6 +1,5 @@
 """Run policies, failure handling, propagation, journal effects."""
 
-import contextlib
 import hashlib
 import json
 import os
@@ -836,9 +835,9 @@ def test_a_produced_file_is_adopted_not_copied(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("policy", [Policy.RECOMPUTE, Policy.LINK])
 def test_an_edit_in_an_old_sandbox_does_not_reach_the_store(tmp_path, policy):
-    """A sandbox holds no link into the store once its task ends, so a
-    file written at an earlier run's output or staged input path is not
-    the blob that a later run places, by executing or by linking."""
+    """A succeeded task leaves no sandbox, so no file remains at an
+    earlier run's output or staged input path to reach the blob that a
+    later run places, by executing or by linking."""
     doc = {
         "name": "tagged",
         "params": {"tag": {"type": "string", "default": "a"}},
@@ -858,9 +857,7 @@ def test_an_edit_in_an_old_sandbox_does_not_reach_the_store(tmp_path, policy):
     sandboxes = ws / "runs" / first.run_id / "tasks"
     for old in (sandboxes / "make" / "o.txt",
                 sandboxes / "use" / "inputs" / "i" / "o.txt"):
-        with contextlib.suppress(FileNotFoundError):
-            os.chmod(old, 0o644)  # the owner's way past the read-only mode
-        old.write_text("Z\n")
+        assert not old.exists() and not old.parent.exists()
     result = run_once(ws, graph_for(tmp_path, doc), policy)
     assert result.ok
     assert (ws / "o.txt").read_text() == (ws / "c.txt").read_text() == "a\n"
@@ -1654,3 +1651,100 @@ def test_a_stamp_without_a_stat_record_is_checked_by_hashing(tmp_path):
     assert started_tasks(read_journal(str(ws), result.run_id)) == ["d"]
     assert (ws / "d" / "s" / "m").read_text() == "x\n"
     assert_blobs_match_names(str(ws))
+
+
+# -- a task's sandbox once it ends -------------------------------------------------
+
+def silent_wide(n):
+    """`n` independent tasks that each write a file and print nothing."""
+    return {"name": "wide", "processes": [
+        {"id": "t%02d" % i, "command": ["sh", "-c", "echo %d > {outputs.o}" % i],
+         "outputs": {"o": {"type": "file", "path": "o%02d.txt" % i}}}
+        for i in range(n)]}
+
+
+def silent_chain(n):
+    """`n` tasks, each after the first copying its predecessor's file."""
+    procs = [{"id": "c00", "command": ["sh", "-c", "echo 0 > {outputs.o}"],
+              "outputs": {"o": {"type": "file", "path": "c00.txt"}}}]
+    procs += [{"id": "c%02d" % i, "command": ["sh", "-c", "cat {inputs.x} > {outputs.o}"],
+               "inputs": {"x": {"type": "file", "from": "c%02d.o" % (i - 1)}},
+               "outputs": {"o": {"type": "file", "path": "c%02d.txt" % i}}}
+              for i in range(1, n)]
+    return {"name": "chain", "processes": procs}
+
+
+@pytest.mark.parametrize("doc", [silent_wide(20), silent_wide(60), silent_chain(20)],
+                         ids=["wide-20", "wide-60", "chain-20"])
+def test_the_run_directory_does_not_grow_per_task(tmp_path, doc):
+    """A succeeded task that printed nothing leaves no sandbox, so a run
+    leaves its journal and provenance document and nothing else."""
+    ws = tmp_path / "ws"
+    result = run_once(ws, graph_for(tmp_path, doc), Policy.RECOMPUTE, jobs=2)
+    assert result.ok, result.states
+    assert sorted(os.listdir(ws / "runs" / result.run_id)) == [
+        "events.ndjson", "provenance.json"]
+    assert_store_sealed(str(ws))
+
+
+def test_a_task_that_prints_keeps_its_logs_alone(tmp_path):
+    """A succeeded task that printed keeps stdout.txt and stderr.txt,
+    and loses its staged inputs, its emptied output directories, its
+    value manifest and any file it left undeclared."""
+    doc = reader_chain()
+    doc["processes"][1].update(
+        command=["sh", "-c", "echo said; echo spare > spare.txt; mkdir -p {outputs.d}/s"
+                 " && cat {inputs.x} > {outputs.d}/s/m && cat {inputs.x} > {outputs.o}"
+                 " && echo '{\"n\": 1}' > outputs.json"],
+        outputs={"o": {"type": "file", "path": "b.txt"},
+                 "d": {"type": "directory", "path": "bd"},
+                 "n": {"type": "integer"}})
+    ws = tmp_path / "ws"
+    result = run_once(ws, graph_for(tmp_path, doc), Policy.RECOMPUTE)
+    assert result.ok, result.states
+    tasks = ws / "runs" / result.run_id / "tasks"
+    assert os.listdir(tasks) == ["b"]
+    assert sorted(os.listdir(tasks / "b")) == ["stderr.txt", "stdout.txt"]
+    assert (tasks / "b" / "stdout.txt").read_text() == "said\n"
+    assert_store_sealed(str(ws))
+
+
+@pytest.mark.parametrize("tail,state", [
+    ("&& cat {inputs.i} > {outputs.c}", "succeeded"), ("; exit 1", "failed")])
+def test_a_link_the_task_made_to_its_input_does_not_outlive_it(tmp_path, tail, state):
+    """A file the task hard-linked to a staged input leaves with the
+    sandbox of a task that succeeded, and in the sandbox a failed task
+    keeps for debugging it becomes a copy of its own."""
+    doc = {"name": "keeper", "processes": [
+        {"id": "make", "command": ["sh", "-c", "echo hi > {outputs.o}"],
+         "outputs": {"o": {"type": "file", "path": "o.txt"}}},
+        {"id": "use", "command": ["sh", "-c", "ln {inputs.i} keep.txt " + tail],
+         "inputs": {"i": {"type": "file", "from": "make.o"}},
+         "outputs": {"c": {"type": "file", "path": "c.txt"}}}]}
+    ws = tmp_path / "ws"
+    result = run_once(ws, graph_for(tmp_path, doc), Policy.RECOMPUTE)
+    assert result.states["use"].state == state
+    sandbox = ws / "runs" / result.run_id / "tasks" / "use"
+    if state == "succeeded":
+        assert not sandbox.exists()
+    else:
+        assert (sandbox / "keep.txt").read_text() == "hi\n"
+        assert [path for _, path in canon.regular_files(sandbox / "inputs")] == []
+    assert_store_sealed(str(ws))
+
+
+def test_an_input_changed_before_the_run_leaves_no_run_directory(tmp_path):
+    """An input file that changed between build_graph and run() fails
+    the run before it makes its directory, so no run lacks a journal."""
+    data = tmp_path / "in.txt"
+    data.write_text("one\n")
+    doc = {"name": "ingest", "params": {"x": {"type": "file"}},
+           "processes": [{"id": "use", "command": ["sh", "-c", "cat {inputs.i} > {outputs.c}"],
+                          "inputs": {"i": {"type": "file", "from": "params.x"}},
+                          "outputs": {"c": {"type": "file", "path": "c.txt"}}}]}
+    graph = graph_for(tmp_path, doc, {"x": str(data)})
+    data.write_text("two\n")
+    ws = tmp_path / "ws"
+    with pytest.raises(CacheError, match="changed since the graph was built"):
+        Runner(str(ws)).run(graph)
+    assert not (ws / "runs").exists()
